@@ -3,9 +3,9 @@
 # and runs the tier-1 suite plus the fault-injection atomicity suite under
 # both. Any sanitizer report fails the job (halt_on_error, and the build
 # sets -fno-sanitize-recover=all so UBSan reports abort too). A second
-# ThreadSanitizer build then re-runs the suites that exercise the
-# multi-threaded paths (parallel safety checking in the undo planner,
-# parallel analysis priming).
+# ThreadSanitizer build then re-runs the server suites, whose group-commit
+# worker and connection threads are the tree's concurrency, plus the
+# single-threaded suites that share its build.
 #
 # Usage: ci/run_sanitizers.sh [build-dir] [tsan-build-dir]
 #        (defaults: build-asan build-tsan)
@@ -26,8 +26,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # The fault-injection and incremental-analysis differential suites are part
 # of ctest above; run the binaries once more on their own so their sanitizer
-# output is easy to find in CI logs. The differential suite also exercises
-# the parallel PrimeAll path, which only ASan/TSan-clean threading survives.
+# output is easy to find in CI logs.
 "$BUILD_DIR"/tests/fault_injection_tests
 "$BUILD_DIR"/tests/analysis_incremental_tests
 
@@ -58,9 +57,12 @@ ci/run_swarm_soak.sh "$BUILD_DIR"
 echo "ASan+UBSan run complete"
 
 # ThreadSanitizer job: rebuild with -fsanitize=thread (ASan and TSan cannot
-# share a binary, hence the separate tree) and run the suites that fan work
-# out across threads — the planner's parallel safety checks and the
-# analysis cache's parallel priming.
+# share a binary, hence the separate tree). What it guards is the server:
+# the group-commit worker that batches every session's frames into one
+# fsync, and the per-connection threads that commit into it concurrently.
+# The planner, analysis and fault-injection suites start no threads; they
+# stay in the job as a TSan-instrumented pass over the engine code that
+# those server threads run.
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 cmake -B "$TSAN_BUILD_DIR" -S . -DPIVOT_SANITIZE_THREAD=ON \

@@ -1,11 +1,9 @@
 #include "pivot/analysis/analyses.h"
 
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "pivot/support/fault_injector.h"
-#include "pivot/support/worker_pool.h"
 
 namespace pivot {
 
@@ -288,112 +286,21 @@ const BlockDags& AnalysisCache::block_dags() {
   return *block_dags_;
 }
 
-bool AnalysisCache::FullyPrimed() const {
-  return valid_epoch_.has_value() && *valid_epoch_ == program_.epoch() &&
-         !structural_dirty_ && dirty_stmts_.empty() && flat_ && cfg_ &&
-         doms_ && facts_ && reaching_ && liveness_ && avail_ && defuse_ &&
-         loops_ && deps_ && pdg_ && summaries_ && block_dags_;
-}
-
 void AnalysisCache::PrimeAll() {
   Refresh();
-  if (!options_.parallel_rebuild) {
-    flat();
-    cfg();
-    doms();
-    facts();
-    reaching();
-    liveness();
-    avail();
-    defuse();
-    loops();
-    deps();
-    pdg();
-    summaries();
-    block_dags();
-    return;
-  }
-
-  // Parallel path: families grouped into dependency waves. Tasks build
-  // directly into their (distinct) member slots and never call accessors —
-  // an accessor would lazily build a prerequisite and race another task;
-  // the wave structure guarantees every prerequisite is already installed.
-  // Counters are updated on this thread after each join.
-  const int threads = options_.threads;
-  std::vector<Family> built;
-  auto record = [&] {
-    for (const Family family : built) CountRebuild(family);
-    built.clear();
-  };
-
-  std::vector<std::function<void()>> wave;
-  if (!flat_) {
-    built.push_back(Family::kFlat);
-    wave.push_back([this] { flat_.emplace(Flatten(program_)); });
-  }
-  if (!cfg_) {
-    built.push_back(Family::kCfg);
-    wave.push_back([this] { cfg_.emplace(BuildCfg(program_)); });
-  }
-  if (!loops_) {
-    built.push_back(Family::kLoops);
-    wave.push_back([this] { loops_.emplace(program_); });
-  }
-  if (!block_dags_) {
-    built.push_back(Family::kBlockDags);
-    wave.push_back([this] { block_dags_.emplace(BuildBlockDags(program_)); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
-
-  wave.clear();
-  if (!doms_) {
-    built.push_back(Family::kDoms);
-    wave.push_back([this] { doms_.emplace(*cfg_); });
-  }
-  if (!facts_) {
-    built.push_back(Family::kFacts);
-    wave.push_back([this] { facts_.emplace(ComputeFacts(*cfg_)); });
-  }
-  if (!deps_) {
-    built.push_back(Family::kDeps);
-    wave.push_back(
-        [this] { deps_.emplace(ComputeDependences(program_, *loops_)); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
-
-  wave.clear();
-  if (!reaching_) {
-    built.push_back(Family::kReaching);
-    wave.push_back([this] { reaching_.emplace(*cfg_, *facts_); });
-  }
-  if (!liveness_) {
-    built.push_back(Family::kLiveness);
-    wave.push_back([this] { liveness_.emplace(*cfg_, *facts_); });
-  }
-  if (!avail_) {
-    built.push_back(Family::kAvail);
-    wave.push_back([this] { avail_.emplace(*cfg_, *facts_); });
-  }
-  if (!pdg_) {
-    built.push_back(Family::kPdg);
-    wave.push_back([this] { pdg_.emplace(program_, *deps_); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
-
-  wave.clear();
-  if (!defuse_) {
-    built.push_back(Family::kDefuse);
-    wave.push_back([this] { defuse_.emplace(*cfg_, *facts_, *reaching_); });
-  }
-  if (!summaries_) {
-    built.push_back(Family::kSummaries);
-    wave.push_back([this] { summaries_.emplace(*pdg_); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
+  flat();
+  cfg();
+  doms();
+  facts();
+  reaching();
+  liveness();
+  avail();
+  defuse();
+  loops();
+  deps();
+  pdg();
+  summaries();
+  block_dags();
 }
 
 }  // namespace pivot

@@ -22,8 +22,6 @@
 //      DAGs) are recomputed for dirty statements only, reseeding the
 //      global data-flow solvers from the unchanged remainder. Structural
 //      mutations fall back to tier 1 for that window.
-// An opt-in parallel path (AnalysisOptions::parallel_rebuild) rebuilds
-// independent stale families on a small thread pool in PrimeAll().
 #ifndef PIVOT_ANALYSIS_ANALYSES_H_
 #define PIVOT_ANALYSIS_ANALYSES_H_
 
@@ -50,9 +48,6 @@ struct AnalysisOptions {
   // Region-scoped invalidation driven by the program's mutation stream;
   // off = the paper's non-regional baseline (drop everything, rebuild all).
   bool incremental = false;
-  // PrimeAll() rebuilds independent stale families on a small thread pool.
-  bool parallel_rebuild = false;
-  int threads = 4;
 };
 
 class AnalysisCache final : public Program::MutationListener {
@@ -105,15 +100,8 @@ class AnalysisCache final : public Program::MutationListener {
   // explicitly invalidated cache be judged up to date.)
   void Invalidate();
 
-  // Builds every stale family now — on options().threads worker threads in
-  // dependency waves when parallel_rebuild is set, sequentially otherwise.
+  // Builds every stale family now, in dependency order.
   void PrimeAll();
-
-  // True when every family is built and validated against the current
-  // program epoch with no pending mutation window — i.e. any accessor call
-  // is a pure read. The undo engine's parallel safety fan-out asserts this
-  // before sharing the cache across threads.
-  bool FullyPrimed() const;
 
   // Number of from-scratch family re-derivations since construction — the
   // re-analysis cost metric used by the benchmarks. Incremental refreshes

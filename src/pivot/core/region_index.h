@@ -1,8 +1,8 @@
 // Persistent record-footprint index for the undo planner.
 //
 // The Figure-4 scans answer two queries per undo:
-//   * ScanAffected: which records does this AffectedRegion contain?
-//   * ScanRestored: which records are anchored inside these restored
+//   * the affected scan: which records does this AffectedRegion contain?
+//   * the restored scan: which records are anchored inside these restored
 //     subtrees?
 // The seed engine answers both by walking the entire history and running
 // the exact containment predicate on every record — O(|history| ·
@@ -89,7 +89,7 @@ class RegionIndex final : public Program::MutationListener,
   std::vector<TransformRecord*> Candidates(const AffectedRegion& region);
 
   // Live records referencing any statement currently inside the subtrees
-  // rooted at `roots` — a superset of ScanRestored's anchored set — in
+  // rooted at `roots` — a superset of the restored scan's anchored set — in
   // stamp order. Unresolvable root ids are skipped. Needs only the
   // referenced-id buckets, so it never pays a name refresh.
   std::vector<TransformRecord*> AnchoredIn(const std::vector<StmtId>& roots);

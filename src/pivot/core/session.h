@@ -41,7 +41,7 @@ struct RecoverResult;  // persist/durable.h
 struct SessionOptions {
   UndoOptions undo;
   // Invalidation policy of the session's analysis cache (incremental
-  // region-scoped refresh, parallel priming).
+  // region-scoped refresh).
   AnalysisOptions analysis;
   // Run ValidateSession before committing each transaction; a rejected
   // result is rolled back and reported as a ProgramError.

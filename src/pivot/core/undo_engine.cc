@@ -1,7 +1,7 @@
 #include "pivot/core/undo_engine.h"
 
 #include <algorithm>
-#include <sstream>
+#include <limits>
 #include <unordered_set>
 
 #include "pivot/ir/stmt.h"
@@ -18,7 +18,6 @@ UndoStats& UndoStats::operator+=(const UndoStats& other) {
   candidates_in_region += other.candidates_in_region;
   candidates_marked += other.candidates_marked;
   safety_checks += other.safety_checks;
-  safety_checks_parallel += other.safety_checks_parallel;
   reversibility_checks += other.reversibility_checks;
   analysis_rebuilds += other.analysis_rebuilds;
   fault_crossings += other.fault_crossings;
@@ -58,11 +57,6 @@ void UndoEngine::NoteDepthExhausted() {
   if (recovery_ != nullptr) ++recovery_->undo_depth_exhausted;
 }
 
-WorkerPool& UndoEngine::pool() {
-  if (!pool_) pool_ = std::make_unique<WorkerPool>(options_.safety_threads);
-  return *pool_;
-}
-
 UndoStats UndoEngine::Undo(OrderStamp stamp) {
   TransformRecord* rec = history_.FindByStamp(stamp);
   PIVOT_CHECK_MSG(rec != nullptr, "unknown transformation stamp");
@@ -93,49 +87,6 @@ OrderStamp UndoEngine::UndoLast(UndoStats* stats) {
   return rec->stamp;
 }
 
-bool UndoEngine::CanUndo(OrderStamp stamp, std::string* reason) {
-  TransformRecord* rec = history_.FindByStamp(stamp);
-  if (rec == nullptr || rec->is_edit || rec->undone) {
-    if (reason != nullptr) {
-      *reason = rec == nullptr    ? "unknown transformation"
-                : rec->is_edit    ? "edits are not undoable"
-                                  : "already undone";
-    }
-    return false;
-  }
-  // Walk the affecting chain without mutating anything: an undo is blocked
-  // exactly when the chain reaches an edit or an unidentifiable cause.
-  TransformRecord* cur = rec;
-  for (int guard = 0; guard < options_.max_depth; ++guard) {
-    const Transformation& t = GetTransformation(cur->kind);
-    const Reversibility rev =
-        t.CheckReversibility(analyses_, journal_, *cur);
-    if (rev.ok) return true;
-    if (rev.affecting == kNoStamp) {
-      if (reason != nullptr) {
-        *reason = "blocked: " + rev.condition +
-                  " (no affecting transformation identified)";
-      }
-      return false;
-    }
-    TransformRecord* next = history_.FindByStamp(rev.affecting);
-    if (next == nullptr || next->is_edit) {
-      if (reason != nullptr) {
-        *reason = "blocked by user edit (t" +
-                  std::to_string(rev.affecting) + "): " + rev.condition;
-      }
-      return false;
-    }
-    cur = next;
-  }
-  NoteDepthExhausted();
-  if (reason != nullptr) {
-    *reason = "affecting chain did not terminate within max_depth (" +
-              std::to_string(options_.max_depth) + ")";
-  }
-  return false;
-}
-
 namespace {
 
 UndoTraceEvent MakeEvent(UndoTraceEvent::Kind kind,
@@ -148,7 +99,61 @@ UndoTraceEvent MakeEvent(UndoTraceEvent::Kind kind,
   return event;
 }
 
+std::string DepthExhaustedReason(int max_depth) {
+  return "affecting chain did not terminate within max_depth (" +
+         std::to_string(max_depth) + ")";
+}
+
 }  // namespace
+
+UndoEngine::ChainWalk UndoEngine::WalkAffectingChain(TransformRecord& rec) {
+  ChainWalk walk;
+  TransformRecord* cur = &rec;
+  for (int guard = 0; guard < options_.max_depth; ++guard) {
+    const Transformation& t = GetTransformation(cur->kind);
+    walk.last = cur->stamp;
+    walk.rev = t.CheckReversibility(analyses_, journal_, *cur);
+    if (walk.rev.ok || walk.rev.affecting == kNoStamp) return walk;
+    TransformRecord* next = history_.FindByStamp(walk.rev.affecting);
+    if (next == nullptr || next->is_edit) return walk;
+    walk.chain.push_back(next->stamp);
+    cur = next;
+  }
+  // Guard exhaustion is a blocked undo, not a success with a truncated
+  // chain.
+  NoteDepthExhausted();
+  walk.exhausted = true;
+  return walk;
+}
+
+bool UndoEngine::CanUndo(OrderStamp stamp, std::string* reason) {
+  TransformRecord* rec = history_.FindByStamp(stamp);
+  if (rec == nullptr || rec->is_edit || rec->undone) {
+    if (reason != nullptr) {
+      *reason = rec == nullptr    ? "unknown transformation"
+                : rec->is_edit    ? "edits are not undoable"
+                                  : "already undone";
+    }
+    return false;
+  }
+  // An undo is blocked exactly when its affecting chain reaches an edit or
+  // an unidentifiable cause.
+  const ChainWalk walk = WalkAffectingChain(*rec);
+  if (walk.resolved()) return true;
+  if (reason != nullptr) {
+    if (walk.exhausted) {
+      *reason = DepthExhaustedReason(options_.max_depth);
+    } else if (walk.rev.affecting == kNoStamp) {
+      *reason = "blocked: " + walk.rev.condition +
+                " (no affecting transformation identified)";
+    } else {
+      *reason = "blocked by user edit (t" +
+                std::to_string(walk.rev.affecting) +
+                "): " + walk.rev.condition;
+    }
+  }
+  return false;
+}
 
 UndoEngine::UndoPreview UndoEngine::Preview(OrderStamp stamp) {
   UndoPreview preview;
@@ -159,39 +164,14 @@ UndoEngine::UndoPreview UndoEngine::Preview(OrderStamp stamp) {
                                              : "already undone";
     return preview;
   }
-  // Walk the affecting chain read-only. Each step names the transformation
-  // that must be undone first; in the real undo that unblocks the next
-  // check, which the preview approximates by following the chain head.
-  TransformRecord* cur = rec;
-  bool resolved = false;
-  for (int guard = 0; guard < options_.max_depth; ++guard) {
-    const Transformation& t = GetTransformation(cur->kind);
-    const Reversibility rev =
-        t.CheckReversibility(analyses_, journal_, *cur);
-    if (rev.ok) {
-      resolved = true;
-      break;
-    }
-    if (rev.affecting == kNoStamp) {
-      preview.blocked_reason = "blocked: " + rev.condition;
-      return preview;
-    }
-    TransformRecord* next = history_.FindByStamp(rev.affecting);
-    if (next == nullptr || next->is_edit) {
-      preview.blocked_reason =
-          "blocked by user edit t" + std::to_string(rev.affecting);
-      return preview;
-    }
-    preview.affecting.push_back(next->stamp);
-    cur = next;
-  }
-  if (!resolved) {
-    // Guard exhaustion is a blocked undo, not a success with a truncated
-    // chain (the silent-truncation bug this replaced).
-    NoteDepthExhausted();
+  ChainWalk walk = WalkAffectingChain(*rec);
+  preview.affecting = std::move(walk.chain);
+  if (!walk.resolved()) {
     preview.blocked_reason =
-        "affecting chain did not terminate within max_depth (" +
-        std::to_string(options_.max_depth) + ")";
+        walk.exhausted ? DepthExhaustedReason(options_.max_depth)
+        : walk.rev.affecting == kNoStamp
+            ? "blocked: " + walk.rev.condition
+            : "blocked by user edit t" + std::to_string(walk.rev.affecting);
     return preview;
   }
   preview.possible = true;
@@ -239,41 +219,19 @@ UndoEngine::UndoPlan UndoEngine::PlanUndo(
   std::unordered_set<OrderStamp> planned;
   for (TransformRecord* target : targets) {
     if (planned.count(target->stamp) != 0) continue;
-    // Preview-style chain walk: blockers invert before their blockee.
-    std::vector<OrderStamp> chain;
-    TransformRecord* cur = target;
-    bool resolved = false;
-    for (int guard = 0; guard < options_.max_depth; ++guard) {
-      const Transformation& t = GetTransformation(cur->kind);
-      const Reversibility rev =
-          t.CheckReversibility(analyses_, journal_, *cur);
-      if (rev.ok) {
-        resolved = true;
-        break;
-      }
-      if (rev.affecting == kNoStamp) {
-        plan.blocked_reason = "t" + std::to_string(cur->stamp) +
-                              " blocked: " + rev.condition;
-        return plan;
-      }
-      TransformRecord* next = history_.FindByStamp(rev.affecting);
-      if (next == nullptr || next->is_edit) {
-        plan.blocked_reason = "t" + std::to_string(cur->stamp) +
-                              " blocked by user edit t" +
-                              std::to_string(rev.affecting);
-        return plan;
-      }
-      chain.push_back(next->stamp);
-      cur = next;
-    }
-    if (!resolved) {
-      NoteDepthExhausted();
+    // Blockers invert before their blockee.
+    const ChainWalk walk = WalkAffectingChain(*target);
+    if (!walk.resolved()) {
+      const std::string at = "t" + std::to_string(walk.last);
       plan.blocked_reason =
-          "affecting chain did not terminate within max_depth (" +
-          std::to_string(options_.max_depth) + ")";
+          walk.exhausted ? DepthExhaustedReason(options_.max_depth)
+          : walk.rev.affecting == kNoStamp
+              ? at + " blocked: " + walk.rev.condition
+              : at + " blocked by user edit t" +
+                    std::to_string(walk.rev.affecting);
       return plan;
     }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    for (auto it = walk.chain.rbegin(); it != walk.chain.rend(); ++it) {
       if (planned.insert(*it).second) plan.targets.push_back(*it);
     }
     if (planned.insert(target->stamp).second) {
@@ -325,7 +283,7 @@ UndoStats UndoEngine::UndoSet(const std::vector<OrderStamp>& stamps,
     // Already undone before the call, or inverted as an earlier target's
     // affecting blocker: nothing left to plan for it.
     if (rec->undone) continue;
-    ResolveAndInvert(*rec, stats, 0, plan);
+    UndoRec(*rec, stats, 0, &plan);
   }
 
   // Wave 2 — adjudication: regions and the Figure-4 scans, one record at
@@ -353,22 +311,7 @@ UndoStats UndoEngine::UndoSet(const std::vector<OrderStamp>& stamps,
       Trace(MakeEvent(UndoTraceEvent::Kind::kDone, *inversion.rec, 0));
       continue;
     }
-    const AffectedRegion region =
-        options_.regional
-            ? AffectedRegion::FromInvertedActions(analyses_, journal_,
-                                                  inversion.inverted)
-            : AffectedRegion::WholeProgram();
-    {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kRegion, *inversion.rec, 0);
-      event.count = region.whole_program()
-                        ? -1
-                        : static_cast<long>(region.StmtCount());
-      Trace(std::move(event));
-    }
-    ScanAffected(*inversion.rec, region, stats, 0);
-    ScanRestored(*inversion.rec, inversion.inverted, stats, 0);
-    Trace(MakeEvent(UndoTraceEvent::Kind::kDone, *inversion.rec, 0));
+    Adjudicate(*inversion.rec, inversion.inverted, stats, 0);
   }
 
   if (undone != nullptr) {
@@ -385,9 +328,8 @@ UndoStats UndoEngine::UndoSet(const std::vector<OrderStamp>& stamps,
   return stats;
 }
 
-void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
-                                  int depth,
-                                  std::vector<PlannedInversion>& plan) {
+void UndoEngine::UndoRec(TransformRecord& rec, UndoStats& stats, int depth,
+                         std::vector<PlannedInversion>* plan) {
   if (depth >= options_.max_depth) {
     NoteDepthExhausted();
     throw ProgramError("undo recursion exceeded max_depth (" +
@@ -397,8 +339,8 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
   const Transformation& transformation = GetTransformation(rec.kind);
   Trace(MakeEvent(UndoTraceEvent::Kind::kBegin, rec, depth));
 
-  // Figure-4 lines 4-11, with the blocker's own affected-scan deferred to
-  // wave 2 (it joins the plan like any other inversion).
+  // Lines 4-11: undo affecting transformations until the post-pattern of
+  // t_i validates. In a plan, the blockers' own scans wait for wave 2 too.
   //
   // LIFO fast path, front half (§10): a reversibility blocker is always a
   // *later live* action, so when nothing live is later than `rec` the
@@ -440,9 +382,10 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
     PIVOT_CHECK_MSG(!affecting->undone,
                     "post-pattern blocked by an already-undone transform");
     PIVOT_FAULT_POINT("undo.affecting.recurse");
-    ResolveAndInvert(*affecting, stats, depth + 1, plan);
+    UndoRec(*affecting, stats, depth + 1, plan);
   }
 
+  // Line 12: perform the inverse actions (reverse application order).
   std::vector<ActionId> inverted = InvertActions(rec, stats);
   rec.undone = true;
   ++stats.transforms_undone;
@@ -452,73 +395,9 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
     event.count = static_cast<long>(inverted.size());
     Trace(std::move(event));
   }
-  plan.push_back(PlannedInversion{&rec, std::move(inverted)});
-}
-
-void UndoEngine::UndoRec(TransformRecord& rec, UndoStats& stats, int depth) {
-  if (depth >= options_.max_depth) {
-    NoteDepthExhausted();
-    throw ProgramError("undo recursion exceeded max_depth (" +
-                       std::to_string(options_.max_depth) + ")");
-  }
-  if (rec.undone) return;
-  const Transformation& transformation = GetTransformation(rec.kind);
-  Trace(MakeEvent(UndoTraceEvent::Kind::kBegin, rec, depth));
-
-  // Lines 4-11: undo affecting transformations until the post-pattern of
-  // t_i validates.
-  //
-  // LIFO fast path, front half (§10): a reversibility blocker is always a
-  // *later live* action, so when nothing live is later than `rec` the
-  // blocker loop is vacuous. Journal::Invert still re-checks CanInvert for
-  // every action it inverts, so the proof is enforced below, not assumed.
-  while (!ProvablyNoLiveLaterThan(rec)) {
-    ++stats.reversibility_checks;
-    const Reversibility rev =
-        transformation.CheckReversibility(analyses_, journal_, rec);
-    if (rev.ok) {
-      Trace(MakeEvent(UndoTraceEvent::Kind::kPostPatternOk, rec, depth));
-      break;
-    }
-    if (rev.affecting != kNoStamp) {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kPostPatternBlocked, rec, depth);
-      event.other = rev.affecting;
-      if (const TransformRecord* blocker =
-              history_.FindByStamp(rev.affecting)) {
-        event.other_kind = blocker->kind;
-      }
-      event.detail = rev.condition;
-      Trace(std::move(event));
-    }
-    if (rev.affecting == kNoStamp) {
-      throw ProgramError(
-          "cannot undo t" + std::to_string(rec.stamp) + " (" +
-          std::string(TransformKindName(rec.kind)) + "): " + rev.condition);
-    }
-    TransformRecord* affecting = history_.FindByStamp(rev.affecting);
-    PIVOT_CHECK_MSG(affecting != nullptr, "affecting stamp not in history");
-    if (affecting->is_edit) {
-      throw ProgramError("cannot undo t" + std::to_string(rec.stamp) +
-                         ": blocked by user edit t" +
-                         std::to_string(rev.affecting) + " (" +
-                         rev.condition + ")");
-    }
-    PIVOT_CHECK_MSG(!affecting->undone,
-                    "post-pattern blocked by an already-undone transform");
-    PIVOT_FAULT_POINT("undo.affecting.recurse");
-    UndoRec(*affecting, stats, depth + 1);
-  }
-
-  // Line 12: perform the inverse actions (reverse application order).
-  const std::vector<ActionId> inverted = InvertActions(rec, stats);
-  rec.undone = true;
-  ++stats.transforms_undone;
-  {
-    UndoTraceEvent event =
-        MakeEvent(UndoTraceEvent::Kind::kInverseActions, rec, depth);
-    event.count = static_cast<long>(inverted.size());
-    Trace(std::move(event));
+  if (plan != nullptr) {
+    plan->push_back(PlannedInversion{&rec, std::move(inverted)});
+    return;
   }
 
   // Line 13: dependence and data-flow update — analyses are re-derived
@@ -539,29 +418,7 @@ void UndoEngine::UndoRec(TransformRecord& rec, UndoStats& stats, int depth) {
     Trace(MakeEvent(UndoTraceEvent::Kind::kDone, rec, depth));
     return;
   }
-
-  // Line 15: determine the affected region.
-  const AffectedRegion region =
-      options_.regional
-          ? AffectedRegion::FromInvertedActions(analyses_, journal_,
-                                                inverted)
-          : AffectedRegion::WholeProgram();
-  {
-    UndoTraceEvent event =
-        MakeEvent(UndoTraceEvent::Kind::kRegion, rec, depth);
-    event.count = region.whole_program()
-                      ? -1
-                      : static_cast<long>(region.StmtCount());
-    Trace(std::move(event));
-  }
-
-  // Lines 16-29: detect and undo affected transformations.
-  ScanAffected(rec, region, stats, depth);
-
-  // Beyond Figure 4: transformations performed *before* this one whose
-  // sites were just restored must be re-validated too (see ScanRestored).
-  ScanRestored(rec, inverted, stats, depth);
-  Trace(MakeEvent(UndoTraceEvent::Kind::kDone, rec, depth));
+  Adjudicate(rec, inverted, stats, depth);
 }
 
 std::vector<ActionId> UndoEngine::InvertActions(TransformRecord& rec,
@@ -575,32 +432,6 @@ std::vector<ActionId> UndoEngine::InvertActions(TransformRecord& rec,
     ++stats.actions_inverted;
   }
   return inverted;
-}
-
-std::vector<char> UndoEngine::PrefetchSafety(
-    const std::vector<TransformRecord*>& candidates, UndoStats& stats) {
-  std::vector<char> verdicts(candidates.size(), 1);
-  if (candidates.empty()) return verdicts;
-  stats.safety_checks_parallel += static_cast<int>(candidates.size());
-  if (options_.safety_threads <= 1 || candidates.size() == 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Transformation& t = GetTransformation(candidates[i]->kind);
-      verdicts[i] =
-          t.CheckSafety(analyses_, journal_, *candidates[i]) ? 1 : 0;
-    }
-    return verdicts;
-  }
-  // Build every analysis family on this thread first; the fan-out then
-  // only performs epoch-validated reads of the primed cache (plus
-  // read-only journal/program walks), which is what keeps it TSan-clean.
-  analyses_.PrimeAll();
-  PIVOT_CHECK_MSG(analyses_.FullyPrimed(),
-                  "parallel safety fan-out requires a fully primed cache");
-  pool().ParallelFor(candidates.size(), [&](std::size_t i) {
-    const Transformation& t = GetTransformation(candidates[i]->kind);
-    verdicts[i] = t.CheckSafety(analyses_, journal_, *candidates[i]) ? 1 : 0;
-  });
-  return verdicts;
 }
 
 bool UndoEngine::ProvablyNoLiveLaterThan(const TransformRecord& undone) const {
@@ -623,223 +454,49 @@ bool UndoEngine::ProvablyNoLiveLaterThan(const TransformRecord& undone) const {
   return true;
 }
 
-void UndoEngine::ScanAffected(TransformRecord& undone,
-                              const AffectedRegion& region, UndoStats& stats,
-                              int depth) {
-  // The index prunes candidate *enumeration*; a whole-program region
-  // matches everything, and an attached trace expects the linear event
-  // sequence (one event per later live record).
-  if (index_ != nullptr && trace_ == nullptr && !region.whole_program()) {
-    ScanAffectedIndexed(undone, region, stats, depth);
-  } else {
-    ScanAffectedLinear(undone, region, stats, depth);
-  }
-}
-
-void UndoEngine::ScanAffectedLinear(TransformRecord& undone,
-                                    const AffectedRegion& region,
-                                    UndoStats& stats, int depth) {
-  // Snapshot the live later transformations first: recursive undos mutate
-  // the history flags but not the deque order.
-  std::vector<TransformRecord*> later;
-  later.reserve(history_.records().size());
-  for (TransformRecord& rec : history_.records()) {
-    if (rec.undone || rec.is_edit) continue;
-    if (rec.stamp > undone.stamp) later.push_back(&rec);  // line 18: k > i
+void UndoEngine::Adjudicate(TransformRecord& rec,
+                            const std::vector<ActionId>& inverted,
+                            UndoStats& stats, int depth) {
+  // Line 15: determine the affected region.
+  const AffectedRegion region =
+      options_.regional
+          ? AffectedRegion::FromInvertedActions(analyses_, journal_,
+                                                inverted)
+          : AffectedRegion::WholeProgram();
+  {
+    UndoTraceEvent event =
+        MakeEvent(UndoTraceEvent::Kind::kRegion, rec, depth);
+    event.count = region.whole_program()
+                      ? -1
+                      : static_cast<long>(region.StmtCount());
+    Trace(std::move(event));
   }
 
-  if (options_.safety_threads <= 1 || trace_ != nullptr) {
-    for (TransformRecord* candidate : later) {
-      if (candidate->undone) continue;  // removed by a deeper recursion
-      ++stats.candidates_total;
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kCandidateSafe, undone, depth);
-      event.other = candidate->stamp;
-      event.other_kind = candidate->kind;
-      // The space coordinate: only transformations in the affected region.
-      if (!region.ContainsRecord(analyses_.program(), journal_,
-                                 *candidate)) {
-        event.kind = UndoTraceEvent::Kind::kCandidateOutsideRegion;
-        Trace(std::move(event));
-        continue;
-      }
-      ++stats.candidates_in_region;
-      // Line 20: the reverse-destroy heuristic.
-      if (!table_.Enables(undone.kind, candidate->kind)) {
-        event.kind = UndoTraceEvent::Kind::kCandidateUnmarked;
-        Trace(std::move(event));
-        continue;
-      }
-      ++stats.candidates_marked;
-      // Lines 22-25: full safety re-evaluation; ripple when violated.
-      ++stats.safety_checks;
-      const Transformation& t = GetTransformation(candidate->kind);
-      if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-        event.kind = UndoTraceEvent::Kind::kCandidateUnsafe;
-        Trace(std::move(event));
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*candidate, stats, depth + 1);
-      } else {
-        Trace(std::move(event));
-      }
-    }
-    return;
-  }
+  // Lines 16-29: detect and undo affected transformations.
+  Scan(rec, &region, nullptr, stats, depth);
 
-  // Optimistic parallel waves: classify the remaining candidates at the
-  // current program state, prefetch their safety verdicts concurrently,
-  // then consume in stamp order. The first unsafe candidate cascades and
-  // invalidates everything after it (its recursion mutated the program),
-  // so those outcomes and verdicts are discarded un-consumed and the next
-  // wave re-derives them — the decision sequence and the consumed-counter
-  // totals are exactly the sequential ones.
-  enum : unsigned char { kSkip, kOutside, kUnmarked, kCheck };
-  std::size_t pos = 0;
-  while (pos < later.size()) {
-    std::vector<unsigned char> outcome;
-    outcome.reserve(later.size() - pos);
-    std::vector<TransformRecord*> to_check;
-    for (std::size_t i = pos; i < later.size(); ++i) {
-      TransformRecord* candidate = later[i];
-      unsigned char o = kCheck;
-      if (candidate->undone) {
-        o = kSkip;
-      } else if (!region.ContainsRecord(analyses_.program(), journal_,
-                                        *candidate)) {
-        o = kOutside;
-      } else if (!table_.Enables(undone.kind, candidate->kind)) {
-        o = kUnmarked;
-      } else {
-        to_check.push_back(candidate);
-      }
-      outcome.push_back(o);
-    }
-    const std::vector<char> verdicts = PrefetchSafety(to_check, stats);
-    bool cascaded = false;
-    std::size_t vi = 0;
-    for (std::size_t i = pos; i < later.size() && !cascaded; ++i) {
-      const unsigned char o = outcome[i - pos];
-      pos = i + 1;
-      if (o == kSkip) continue;
-      ++stats.candidates_total;
-      if (o == kOutside) continue;
-      ++stats.candidates_in_region;
-      if (o == kUnmarked) continue;
-      ++stats.candidates_marked;
-      ++stats.safety_checks;
-      if (verdicts[vi++] == 0) {
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*later[i], stats, depth + 1);
-        cascaded = true;
-      }
-    }
-    if (!cascaded) break;
-  }
-}
-
-void UndoEngine::ScanAffectedIndexed(TransformRecord& undone,
-                                     const AffectedRegion& region,
-                                     UndoStats& stats, int depth) {
-  Program& program = analyses_.program();
-  // A cascade mutates the program, which can pull records into the region
-  // that were outside it before — exactly as the linear scan's lazy
-  // re-evaluation would observe. Re-query after each cascade, resuming
-  // past the last candidate already adjudicated (the linear scan never
-  // revisits either).
-  OrderStamp resume = undone.stamp;
-  for (;;) {
-    std::vector<TransformRecord*> indexed = index_->Candidates(region);
-    std::vector<TransformRecord*> candidates;
-    candidates.reserve(indexed.size());
-    for (TransformRecord* candidate : indexed) {
-      if (candidate->stamp <= resume || candidate->undone ||
-          candidate->is_edit) {
-        continue;
-      }
-      candidates.push_back(candidate);
-    }
-    bool cascaded = false;
-    if (options_.safety_threads <= 1) {
-      for (TransformRecord* candidate : candidates) {
-        resume = candidate->stamp;
-        ++stats.candidates_total;
-        // The index pre-selects by footprint; the exact containment
-        // predicate keeps the adjudicated set identical to the full scan.
-        if (!region.ContainsRecord(program, journal_, *candidate)) continue;
-        ++stats.candidates_in_region;
-        if (!table_.Enables(undone.kind, candidate->kind)) continue;
-        ++stats.candidates_marked;
-        ++stats.safety_checks;
-        const Transformation& t = GetTransformation(candidate->kind);
-        if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-          PIVOT_FAULT_POINT("undo.cascade.recurse");
-          UndoRec(*candidate, stats, depth + 1);
-          cascaded = true;
-          break;
-        }
-      }
-    } else {
-      enum : unsigned char { kOutside, kUnmarked, kCheck };
-      std::vector<unsigned char> outcome(candidates.size(), kCheck);
-      std::vector<TransformRecord*> to_check;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (!region.ContainsRecord(program, journal_, *candidates[i])) {
-          outcome[i] = kOutside;
-        } else if (!table_.Enables(undone.kind, candidates[i]->kind)) {
-          outcome[i] = kUnmarked;
-        } else {
-          to_check.push_back(candidates[i]);
-        }
-      }
-      const std::vector<char> verdicts = PrefetchSafety(to_check, stats);
-      std::size_t vi = 0;
-      for (std::size_t i = 0; i < candidates.size() && !cascaded; ++i) {
-        resume = candidates[i]->stamp;
-        ++stats.candidates_total;
-        if (outcome[i] == kOutside) continue;
-        ++stats.candidates_in_region;
-        if (outcome[i] == kUnmarked) continue;
-        ++stats.candidates_marked;
-        ++stats.safety_checks;
-        if (verdicts[vi++] == 0) {
-          PIVOT_FAULT_POINT("undo.cascade.recurse");
-          UndoRec(*candidates[i], stats, depth + 1);
-          cascaded = true;
-        }
-      }
-    }
-    if (!cascaded) break;
-  }
-}
-
-void UndoEngine::ScanRestored(TransformRecord& undone,
-                              const std::vector<ActionId>& inverted,
-                              UndoStats& stats, int depth) {
-  // The Figure-4 scan only examines *later* transformations (line 18:
-  // k > i), on the premise that performing a transformation never destroys
-  // an earlier one's safety. Undo breaks that premise in one spot: while a
-  // statement is deleted by a live transformation, earlier transformations
-  // anchored in it defer their safety question to the deletion (the
-  // consumed-by-live-transformation case of CheckSafety). Inverting the
-  // Delete re-attaches the statement and revives those deferred
-  // obligations — against a program that intermediate undos may have
-  // changed since they last held. So: re-validate every earlier live
-  // transformation whose site lies inside a subtree this undo restored.
+  // Beyond Figure 4: the scan above only examines *later* transformations
+  // (line 18: k > i), on the premise that performing a transformation
+  // never destroys an earlier one's safety. Undo breaks that premise in
+  // one spot: while a statement is deleted by a live transformation,
+  // earlier transformations anchored in it defer their safety question to
+  // the deletion (the consumed-by-live-transformation case of
+  // CheckSafety). Inverting the Delete re-attaches the statement and
+  // revives those deferred obligations — against a program that
+  // intermediate undos may have changed since they last held. So:
+  // re-validate every earlier live transformation whose site lies inside
+  // a subtree this undo restored (and that is still attached after the
+  // cascades above).
   Program& program = analyses_.program();
   std::vector<StmtId> restored;
-  restored.reserve(inverted.size());
-  for (ActionId id : inverted) {
+  for (const ActionId id : inverted) {
     const ActionRecord& action = journal_.record(id);
     if (action.kind != ActionKind::kDelete) continue;
     const Stmt* root = program.FindStmt(action.stmt);
     if (root != nullptr && root->attached) restored.push_back(action.stmt);
   }
-  if (restored.empty()) return;
-  if (index_ != nullptr && trace_ == nullptr) {
-    ScanRestoredIndexed(undone, restored, stats, depth);
-  } else {
-    ScanRestoredLinear(undone, restored, stats, depth);
-  }
+  if (!restored.empty()) Scan(rec, nullptr, &restored, stats, depth);
+  Trace(MakeEvent(UndoTraceEvent::Kind::kDone, rec, depth));
 }
 
 namespace {
@@ -877,87 +534,139 @@ bool AnchoredInRestored(Program& program, const Journal& journal,
   return false;
 }
 
+// Feeds one scan its candidates: the live transform records after
+// `undone` (the affected scan) or before it (the restored scan), in stamp
+// order, each at most once. Without an index it walks that stretch of the
+// history. With one it walks the index's answer for the scan's region or
+// restored roots (a superset of what the scan's own filter accepts) and
+// asks again after every cascade, because a cascade mutates the program
+// and can pull records in. Either way it resumes past the last record it
+// handed out, so nothing is judged twice or walked again.
+class CandidateSource {
+ public:
+  CandidateSource(History& history, RegionIndex* index,
+                  const TransformRecord& undone, const AffectedRegion* region,
+                  const std::vector<StmtId>* restored)
+      : history_(history),
+        index_(index),
+        region_(region),
+        restored_(restored),
+        after_(region != nullptr ? undone.stamp : kNoStamp),
+        before_(region != nullptr ? std::numeric_limits<OrderStamp>::max()
+                                  : undone.stamp) {
+    if (index_ != nullptr) {
+      Query();
+      return;
+    }
+    // History order is stamp order, so the window is a contiguous stretch.
+    const auto& records = history_.records();
+    const auto first = std::partition_point(
+        records.begin(), records.end(),
+        [this](const TransformRecord& rec) { return rec.stamp <= after_; });
+    const auto last = std::partition_point(
+        first, records.end(),
+        [this](const TransformRecord& rec) { return rec.stamp < before_; });
+    pos_ = static_cast<std::size_t>(first - records.begin());
+    end_ = static_cast<std::size_t>(last - records.begin());
+  }
+
+  TransformRecord* Next() {
+    if (index_ == nullptr) {
+      while (pos_ < end_) {
+        TransformRecord& rec = history_.records()[pos_++];
+        if (!rec.undone && !rec.is_edit) return &rec;
+      }
+      return nullptr;
+    }
+    while (pos_ < batch_.size()) {
+      TransformRecord* rec = batch_[pos_++];
+      if (rec->undone || rec->is_edit || rec->stamp <= after_ ||
+          rec->stamp >= before_) {
+        continue;
+      }
+      after_ = rec->stamp;
+      return rec;
+    }
+    return nullptr;
+  }
+
+  // The scan undid a candidate: the index's answer may have changed. The
+  // history walk needs nothing, since records only ever turn undone here.
+  void Cascaded() {
+    if (index_ != nullptr) Query();
+  }
+
+ private:
+  void Query() {
+    batch_ = region_ != nullptr ? index_->Candidates(*region_)
+                                : index_->AnchoredIn(*restored_);
+    pos_ = 0;
+  }
+
+  History& history_;
+  RegionIndex* index_;
+  const AffectedRegion* region_;
+  const std::vector<StmtId>* restored_;
+  OrderStamp after_;   // exclusive bounds of the stamp window; the index
+  OrderStamp before_;  // source moves `after_` up as it hands records out
+  std::vector<TransformRecord*> batch_;  // the index's latest answer
+  std::size_t pos_ = 0;                  // next position in history/batch_
+  std::size_t end_ = 0;                  // end of the history stretch
+};
+
 }  // namespace
 
-void UndoEngine::ScanRestoredLinear(TransformRecord& undone,
-                                    const std::vector<StmtId>& restored,
-                                    UndoStats& stats, int depth) {
+void UndoEngine::Scan(TransformRecord& undone, const AffectedRegion* region,
+                      const std::vector<StmtId>* restored, UndoStats& stats,
+                      int depth) {
   Program& program = analyses_.program();
-  // Snapshot first: recursive undos flip history flags under us.
-  std::vector<TransformRecord*> earlier;
-  earlier.reserve(history_.records().size());
-  for (TransformRecord& rec : history_.records()) {
-    if (rec.undone || rec.is_edit) continue;
-    if (rec.stamp < undone.stamp) earlier.push_back(&rec);
-  }
-  for (TransformRecord* candidate : earlier) {
-    if (candidate->undone) continue;  // removed by a deeper recursion
-    if (!AnchoredInRestored(program, journal_, restored, *candidate)) {
+  // The index prunes candidate *enumeration*. A whole-program region
+  // matches everything, and an attached trace expects the history walk's
+  // event sequence (one event per later live record).
+  const bool use_index = index_ != nullptr && trace_ == nullptr &&
+                         (region == nullptr || !region->whole_program());
+  CandidateSource source(history_, use_index ? index_.get() : nullptr, undone,
+                         region, restored);
+  while (TransformRecord* candidate = source.Next()) {
+    UndoTraceEvent event =
+        MakeEvent(UndoTraceEvent::Kind::kCandidateSafe, undone, depth);
+    event.other = candidate->stamp;
+    event.other_kind = candidate->kind;
+    if (region != nullptr) {
+      ++stats.candidates_total;
+      // The space coordinate: only transformations in the affected region.
+      // (The index pre-selects by footprint; this exact predicate keeps the
+      // adjudicated set identical to the history walk's.)
+      if (!region->ContainsRecord(program, journal_, *candidate)) {
+        event.kind = UndoTraceEvent::Kind::kCandidateOutsideRegion;
+        Trace(std::move(event));
+        continue;
+      }
+      ++stats.candidates_in_region;
+      // Line 20: the reverse-destroy heuristic.
+      if (!table_.Enables(undone.kind, candidate->kind)) {
+        event.kind = UndoTraceEvent::Kind::kCandidateUnmarked;
+        Trace(std::move(event));
+        continue;
+      }
+      ++stats.candidates_marked;
+    } else if (!AnchoredInRestored(program, journal_, *restored,
+                                   *candidate)) {
       continue;
     }
+    // Lines 22-25: full safety re-evaluation; ripple when violated.
     ++stats.safety_checks;
     const Transformation& t = GetTransformation(candidate->kind);
-    if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kCandidateUnsafe, undone, depth);
-      event.other = candidate->stamp;
-      event.other_kind = candidate->kind;
-      Trace(std::move(event));
-      PIVOT_FAULT_POINT("undo.cascade.recurse");
-      UndoRec(*candidate, stats, depth + 1);
+    if (t.CheckSafety(analyses_, journal_, *candidate)) {
+      // The restored scan traces only the records it undoes.
+      if (region != nullptr) Trace(std::move(event));
+      continue;
     }
-  }
-}
-
-void UndoEngine::ScanRestoredIndexed(TransformRecord& undone,
-                                     const std::vector<StmtId>& restored,
-                                     UndoStats& stats, int depth) {
-  Program& program = analyses_.program();
-  OrderStamp resume = kNoStamp;
-  for (;;) {
-    std::vector<TransformRecord*> indexed = index_->AnchoredIn(restored);
-    std::vector<TransformRecord*> candidates;
-    candidates.reserve(indexed.size());
-    for (TransformRecord* candidate : indexed) {
-      if (candidate->stamp >= undone.stamp || candidate->undone ||
-          candidate->is_edit) {
-        continue;
-      }
-      if (resume != kNoStamp && candidate->stamp <= resume) continue;
-      // The index pre-selects by referenced-id membership; the exact
-      // anchored predicate keeps the checked set identical to the scan.
-      if (!AnchoredInRestored(program, journal_, restored, *candidate)) {
-        continue;
-      }
-      candidates.push_back(candidate);
-    }
-    const std::vector<char> verdicts =
-        options_.safety_threads > 1 ? PrefetchSafety(candidates, stats)
-                                    : std::vector<char>();
-    bool cascaded = false;
-    for (std::size_t i = 0; i < candidates.size() && !cascaded; ++i) {
-      TransformRecord* candidate = candidates[i];
-      resume = candidate->stamp;
-      ++stats.safety_checks;
-      bool safe;
-      if (!verdicts.empty()) {
-        safe = verdicts[i] != 0;
-      } else {
-        const Transformation& t = GetTransformation(candidate->kind);
-        safe = t.CheckSafety(analyses_, journal_, *candidate);
-      }
-      if (!safe) {
-        UndoTraceEvent event =
-            MakeEvent(UndoTraceEvent::Kind::kCandidateUnsafe, undone, depth);
-        event.other = candidate->stamp;
-        event.other_kind = candidate->kind;
-        Trace(std::move(event));
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*candidate, stats, depth + 1);
-        cascaded = true;
-      }
-    }
-    if (!cascaded) break;
+    event.kind = UndoTraceEvent::Kind::kCandidateUnsafe;
+    Trace(std::move(event));
+    PIVOT_FAULT_POINT("undo.cascade.recurse");
+    UndoRec(*candidate, stats, depth + 1);
+    source.Cascaded();
   }
 }
 

@@ -27,7 +27,6 @@
 #include "pivot/core/region_index.h"
 #include "pivot/core/trace.h"
 #include "pivot/core/transaction.h"
-#include "pivot/support/worker_pool.h"
 
 namespace pivot {
 
@@ -43,16 +42,10 @@ struct UndoOptions {
   bool regional = true;     // event-driven regional undo (§4.4) on/off
 
   // Candidate selection through the persistent RegionIndex instead of a
-  // full history scan. Off = the seed's linear scans (the A/B baseline).
-  // Scans fall back to the linear path while a trace is attached, so
+  // full history walk. Off = the seed's linear scans (the A/B baseline).
+  // Scans fall back to the history walk while a trace is attached, so
   // decision traces stay event-for-event identical to the seed.
   bool indexed = true;
-
-  // > 1 fans independent CheckSafety evaluations of a scan wave out onto
-  // a worker pool (analyses primed read-only first). Verdicts are consumed
-  // in stamp order and discarded past the first cascade, so the decision
-  // sequence is exactly the sequential one.
-  int safety_threads = 1;
 
   // Bound on affecting-chain walks and cascade recursion. Exhaustion is a
   // reported error (ProgramError + RecoveryReport::undo_depth_exhausted),
@@ -70,10 +63,6 @@ struct UndoStats {
   int candidates_in_region = 0;   // survived the regional filter
   int candidates_marked = 0;      // survived the reverse-destroy filter
   int safety_checks = 0;          // full safety-condition evaluations
-                                  // consumed by the scan (sequential
-                                  // decision count, mode-independent)
-  int safety_checks_parallel = 0;  // raw evaluations run on the pool
-                                   // (>= consumed; wasted = speculation)
   int reversibility_checks = 0;   // post-pattern validations
   // Figure 4 line 13: how many from-scratch analysis re-derivations the
   // undo triggered (each inverse-action batch invalidates the caches).
@@ -110,8 +99,7 @@ class UndoEngine {
   // edits throw ProgramError (nothing partial is left behind when the
   // caller wraps the batch in a transaction, as Session::UndoSet does).
   // Returns the aggregated stats; `undone` (optional) receives the stamp
-  // of every record the plan removed, cascades included, in the order
-  // they were undone.
+  // of every record the plan removed, cascades included, in stamp order.
   UndoStats UndoSet(const std::vector<OrderStamp>& stamps,
                     std::vector<OrderStamp>* undone = nullptr);
 
@@ -154,7 +142,7 @@ class UndoEngine {
 
   // Optional decision trace; the engine appends one event per Figure-4
   // step of every subsequent Undo. Pass null to stop tracing. While a
-  // trace is attached the scans run on the seed's linear path so the
+  // trace is attached the scans walk the history, as the seed did, so the
   // event sequence is exactly the documented one.
   void set_trace(UndoTrace* trace) { trace_ = trace; }
 
@@ -171,19 +159,33 @@ class UndoEngine {
     if (trace_ != nullptr) trace_->Add(std::move(event));
   }
   void NoteDepthExhausted();
-  void UndoRec(TransformRecord& rec, UndoStats& stats, int depth);
-  std::vector<ActionId> InvertActions(TransformRecord& rec,
-                                      UndoStats& stats);
-  // Wave 1 of the batch planner: resolve the affecting chain of `rec`
-  // (recursively inverting blockers) and invert its actions, deferring
-  // the affected/restored scans. Inverted records are appended to `plan`
-  // in inversion order.
+  // An inverted record whose Figure-4 scans have not run yet.
   struct PlannedInversion {
     TransformRecord* rec;
     std::vector<ActionId> inverted;
   };
-  void ResolveAndInvert(TransformRecord& rec, UndoStats& stats, int depth,
-                        std::vector<PlannedInversion>& plan);
+  // Figure 4 for one record: undo its affecting transformations until its
+  // post-pattern validates (lines 4-11), then perform its inverse actions
+  // (line 12). With `plan` null the scans run right away (Adjudicate).
+  // Otherwise the record, and every blocker undone on its behalf, joins
+  // `plan` in inversion order, and UndoSet's wave 2 adjudicates them.
+  void UndoRec(TransformRecord& rec, UndoStats& stats, int depth,
+               std::vector<PlannedInversion>* plan = nullptr);
+  std::vector<ActionId> InvertActions(TransformRecord& rec,
+                                      UndoStats& stats);
+  // Lines 13-29 for an inverted record: its affected region, the affected
+  // scan, then the restored scan.
+  void Adjudicate(TransformRecord& rec, const std::vector<ActionId>& inverted,
+                  UndoStats& stats, int depth);
+  // The one adjudication loop behind both scans. With `region` set it is
+  // the affected scan (lines 16-29): later live records, filtered by the
+  // region and the reverse-destroy table. Otherwise it is the restored
+  // scan: earlier live records anchored in the `restored` subtrees. Each
+  // candidate that passes gets a full safety check, and an unsafe one is
+  // undone (a cascade) before the scan resumes past it.
+  void Scan(TransformRecord& undone, const AffectedRegion* region,
+            const std::vector<StmtId>* restored, UndoStats& stats,
+            int depth);
   // Optimized-planner fast path (active with the region index, without an
   // attached trace): proves "no live record has a later stamp than
   // `undone`" with a capped backwards probe of the stamp-ordered history.
@@ -193,30 +195,18 @@ class UndoEngine {
   // (newest record) resolves in O(1). Returns false when unproven,
   // including past the probe cap.
   bool ProvablyNoLiveLaterThan(const TransformRecord& undone) const;
-  void ScanAffected(TransformRecord& undone, const AffectedRegion& region,
-                    UndoStats& stats, int depth);
-  void ScanAffectedLinear(TransformRecord& undone,
-                          const AffectedRegion& region, UndoStats& stats,
-                          int depth);
-  void ScanAffectedIndexed(TransformRecord& undone,
-                           const AffectedRegion& region, UndoStats& stats,
-                           int depth);
-  void ScanRestored(TransformRecord& undone,
-                    const std::vector<ActionId>& inverted, UndoStats& stats,
-                    int depth);
-  void ScanRestoredLinear(TransformRecord& undone,
-                          const std::vector<StmtId>& restored,
-                          UndoStats& stats, int depth);
-  void ScanRestoredIndexed(TransformRecord& undone,
-                           const std::vector<StmtId>& restored,
-                           UndoStats& stats, int depth);
-  // Evaluates CheckSafety for `candidates` — on the worker pool when
-  // safety_threads > 1 (analyses primed first) — returning one verdict
-  // per candidate, index-aligned. Safe only between program mutations;
-  // callers discard verdicts past the first cascade.
-  std::vector<char> PrefetchSafety(
-      const std::vector<TransformRecord*>& candidates, UndoStats& stats);
-  WorkerPool& pool();
+  // The read-only affecting-chain walk of CanUndo, Preview and PlanUndo:
+  // lines 4-11 without undoing anything. Each step names the record that
+  // must be undone first; in the real undo that unblocks the next check,
+  // which the walk approximates by following the chain head.
+  struct ChainWalk {
+    std::vector<OrderStamp> chain;  // blockers, in walk order
+    OrderStamp last = kNoStamp;     // the record checked last
+    Reversibility rev;              // its post-pattern check
+    bool exhausted = false;         // max_depth steps without an end
+    bool resolved() const { return !exhausted && rev.ok; }
+  };
+  ChainWalk WalkAffectingChain(TransformRecord& rec);
 
   AnalysisCache& analyses_;
   Journal& journal_;
@@ -224,7 +214,6 @@ class UndoEngine {
   UndoOptions options_;
   InteractionTable table_;
   std::unique_ptr<RegionIndex> index_;  // present when options_.indexed
-  std::unique_ptr<WorkerPool> pool_;    // created on first parallel wave
   RecoveryReport* recovery_ = nullptr;
   UndoTrace* trace_ = nullptr;
 };

@@ -74,6 +74,9 @@ SessionDigest ComputeDigest(Session& session) {
   return d;
 }
 
+// The genesis frame keeps the slots of three retired options, written as
+// their old defaults and ignored on read, so journals from either side of
+// their removal recover with no format change.
 std::string EncodeGenesis(const SessionOptions& options,
                           const std::string& source) {
   TokenWriter w;
@@ -81,11 +84,11 @@ std::string EncodeGenesis(const SessionOptions& options,
   w.Int(static_cast<int>(options.undo.heuristic));
   w.Int(options.undo.regional ? 1 : 0);
   w.Int(options.undo.indexed ? 1 : 0);
-  w.Int(options.undo.safety_threads);
+  w.Int(1);  // retired: safety_threads
   w.Int(options.undo.max_depth);
   w.Int(options.analysis.incremental ? 1 : 0);
-  w.Int(options.analysis.parallel_rebuild ? 1 : 0);
-  w.Int(options.analysis.threads);
+  w.Int(0);  // retired: parallel_rebuild
+  w.Int(4);  // retired: threads
   w.Int(options.strict ? 1 : 0);
   w.Str(source);
   return w.Take();
@@ -104,11 +107,11 @@ GenesisInfo DecodeGenesis(const std::string& body) {
       static_cast<UndoOptions::Heuristic>(heuristic);
   info.options.undo.regional = r.Int() != 0;
   info.options.undo.indexed = r.Int() != 0;
-  info.options.undo.safety_threads = static_cast<int>(r.Int());
+  r.Int();  // retired: safety_threads
   info.options.undo.max_depth = static_cast<int>(r.Int());
   info.options.analysis.incremental = r.Int() != 0;
-  info.options.analysis.parallel_rebuild = r.Int() != 0;
-  info.options.analysis.threads = static_cast<int>(r.Int());
+  r.Int();  // retired: parallel_rebuild
+  r.Int();  // retired: threads
   info.options.strict = r.Int() != 0;
   info.source = r.Str();
   if (!r.AtEnd()) Malformed("trailing data in genesis frame");

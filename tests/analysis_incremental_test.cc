@@ -360,26 +360,18 @@ TEST(AnalysisCacheIncremental, StructuralChangeDropsEverything) {
   p.UnregisterTree(*detached);
 }
 
-TEST(AnalysisCachePrimeAll, ParallelMatchesSequential) {
+TEST(AnalysisCachePrimeAll, BuildsEachFamilyOnceAndMatchesLazyBuild) {
   RandomProgramOptions gen;
   gen.seed = 4242;
   gen.target_stmts = 40;
   Program p = GenerateRandomProgram(gen);
 
-  AnalysisOptions par;
-  par.parallel_rebuild = true;
-  par.threads = 4;
-  AnalysisCache parallel(p, par);
-  AnalysisCache sequential(p);
-
-  parallel.PrimeAll();
-  sequential.PrimeAll();
-  // Every family was built exactly once by each cache.
-  EXPECT_EQ(parallel.rebuild_count(),
+  AnalysisCache primed(p);
+  primed.PrimeAll();
+  EXPECT_EQ(primed.rebuild_count(),
             static_cast<std::uint64_t>(AnalysisCache::kNumFamilies));
-  EXPECT_EQ(sequential.rebuild_count(),
-            static_cast<std::uint64_t>(AnalysisCache::kNumFamilies));
-  EXPECT_EQ(Signature(parallel, p), Signature(sequential, p));
+  AnalysisCache lazy(p);
+  EXPECT_EQ(Signature(primed, p), Signature(lazy, p));
 }
 
 class RollbackInvalidation : public ::testing::Test {

@@ -237,10 +237,8 @@ TEST(WireCodec, GenesisRoundTrips) {
   options.undo.heuristic = UndoOptions::Heuristic::kConservative;
   options.undo.regional = true;
   options.undo.indexed = true;
-  options.undo.safety_threads = 3;
   options.undo.max_depth = 77;
   options.analysis.incremental = true;
-  options.analysis.threads = 2;
   options.strict = true;
   const std::string source = "x = 1\nwrite \"odd\\chars\"\nwrite x\n";
 
@@ -248,12 +246,36 @@ TEST(WireCodec, GenesisRoundTrips) {
   EXPECT_EQ(info.options.undo.heuristic, options.undo.heuristic);
   EXPECT_EQ(info.options.undo.regional, options.undo.regional);
   EXPECT_EQ(info.options.undo.indexed, options.undo.indexed);
-  EXPECT_EQ(info.options.undo.safety_threads, options.undo.safety_threads);
   EXPECT_EQ(info.options.undo.max_depth, options.undo.max_depth);
   EXPECT_EQ(info.options.analysis.incremental, options.analysis.incremental);
-  EXPECT_EQ(info.options.analysis.threads, options.analysis.threads);
   EXPECT_EQ(info.options.strict, options.strict);
   EXPECT_EQ(info.source, source);
+}
+
+// The genesis frame still carries slots for three retired options
+// (safety_threads, parallel_rebuild, threads), written as their old
+// defaults: a journal opened with default options is byte-for-byte what
+// the build that had those options wrote.
+TEST(WireCodec, GenesisKeepsTheRetiredOptionSlots) {
+  EXPECT_EQ(EncodeGenesis(SessionOptions{}, "c = 1\n"),
+            R"(genesis 1 1 1 1 10000 0 0 4 0 "c = 1\n" )");
+}
+
+// A genesis written with non-default values in the retired slots
+// (safety_threads 3, parallel_rebuild 1, threads 2; the bytes are that
+// build's encoding) decodes, and the slots are ignored.
+TEST(WireCodec, DecodesAGenesisWithRetiredOptionValues) {
+  const GenesisInfo info = DecodeGenesis(
+      R"(genesis 0 1 1 3 77 1 1 2 1 )"
+      R"("x = 1\nwrite \"odd\\chars\"\nwrite x\n" )");
+  EXPECT_EQ(info.options.undo.heuristic,
+            UndoOptions::Heuristic::kConservative);
+  EXPECT_TRUE(info.options.undo.regional);
+  EXPECT_TRUE(info.options.undo.indexed);
+  EXPECT_EQ(info.options.undo.max_depth, 77);
+  EXPECT_TRUE(info.options.analysis.incremental);
+  EXPECT_TRUE(info.options.strict);
+  EXPECT_EQ(info.source, "x = 1\nwrite \"odd\\chars\"\nwrite x\n");
 }
 
 TEST(WireCodec, TxnRoundTrips) {
@@ -427,6 +449,27 @@ TEST_F(Durable, RecoversByFullReplay) {
   EXPECT_TRUE(r.report.validator_ok);
   EXPECT_TRUE(r.report.errors.empty());
   ExpectEquivalent(s, *r.session, "full replay");
+}
+
+// A journal whose genesis frame sets the retired thread options recovers
+// like any other: the genesis bytes are those an older build wrote for
+// kSource with safety_threads 3, parallel_rebuild 1 and threads 2.
+TEST_F(Durable, RecoversAJournalWrittenWithRetiredOptions) {
+  const std::string path = TmpPath("retired_options");
+  Session s(Parse(kSource));
+  auto wal = DurableJournal::Create(s, path);
+  RunWorkload(s);
+  wal.reset();
+  RewriteFrame(path, 0, FrameType::kGenesis,
+               R"(genesis 1 1 1 3 10000 0 1 2 0 "c = 1\nx = c\nx = 2\n)"
+               R"(y = 3 * 4\nwrite x\nwrite y\nwrite c\n" )");
+
+  RecoverResult r = Session::Recover(path);
+  EXPECT_EQ(r.report.txns_replayed, 4u);
+  EXPECT_FALSE(r.report.truncated);
+  EXPECT_TRUE(r.report.validator_ok);
+  EXPECT_TRUE(r.report.errors.empty());
+  ExpectEquivalent(s, *r.session, "retired-option genesis");
 }
 
 TEST_F(Durable, RecoversFromSnapshotPlusTail) {
