@@ -224,7 +224,6 @@ bool EvictionStudy(BenchJson& json) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double open_secs = std::chrono::duration<double>(t1 - t0).count();
-  const ServerStats after_opens = server.stats();
 
   // Reactivate a sample of long-passivated sessions (the oldest are
   // certainly out) and verify each comes back with the right program.

@@ -1,9 +1,6 @@
 #include "pivot/persist/durable.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <optional>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -18,14 +15,6 @@ namespace {
 
 bool IsSnapshotFrame(FrameType type) {
   return type == FrameType::kSnapshot || type == FrameType::kDeltaSnapshot;
-}
-
-// Best-effort removal of a leftover compaction tmp file (a crash between
-// writing `<path>.compact` and the rename). The tmp is garbage by
-// definition — the rename is the commit point — so it is deleted, never
-// adopted.
-void RemoveStaleCompactTmp(const std::string& path) {
-  std::remove((path + ".compact").c_str());
 }
 
 // The newest snapshot frame whose image could be reconstructed.
@@ -89,6 +78,20 @@ std::optional<SnapshotChoice> FindLatestUsableSnapshot(
   return std::nullopt;
 }
 
+// Txn frames after the snapshot recovery uses (all `txns` when none):
+// cadence resumes there, so a trailing snapshot-typed frame recovery
+// ignores does not defer the next snapshot.
+std::uint64_t TxnsSinceSnapshot(const std::vector<WalFrame>& frames,
+                                std::uint64_t txns,
+                                const std::optional<SnapshotChoice>& choice) {
+  if (!choice.has_value()) return txns;
+  std::uint64_t after = 0;
+  for (std::size_t i = choice->frame_index + 1; i < frames.size(); ++i) {
+    if (frames[i].type == FrameType::kTxn) ++after;
+  }
+  return after;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ std::unique_ptr<DurableJournal> DurableJournal::Create(
         "rebuilds state from the genesis source)");
   }
   FileLock lock = FileLock::Acquire(path);
-  RemoveStaleCompactTmp(path);
+  RemoveStaleRewriteTmp(path);
   WalWriter writer = WalWriter::Create(path);
   PIVOT_FAULT_POINT("persist.genesis.pre");
   writer.AppendFrame(FrameType::kGenesis,
@@ -132,7 +135,7 @@ std::unique_ptr<DurableJournal> DurableJournal::Create(
 std::unique_ptr<DurableJournal> DurableJournal::Reattach(
     Session& session, const std::string& path, PersistOptions options) {
   FileLock lock = FileLock::Acquire(path);
-  RemoveStaleCompactTmp(path);
+  RemoveStaleRewriteTmp(path);
   const WalScanResult scan = ScanWal(path);
   if (!scan.header_ok || scan.version > kJournalFormatVersion ||
       scan.frames.empty()) {
@@ -152,23 +155,13 @@ std::unique_ptr<DurableJournal> DurableJournal::Reattach(
       ++journal->snapshots_;
     }
   }
-  // Snapshot cadence resumes from the last snapshot recovery would
-  // actually use, not merely the last snapshot-typed frame: a trailing
-  // frame that fails to decode (or whose chain is broken) must not defer
-  // the next snapshot a full interval while recovery ignores it.
   const std::optional<SnapshotChoice> choice =
       FindLatestUsableSnapshot(scan.frames, journal->txns_, nullptr);
+  journal->since_snapshot_ =
+      TxnsSinceSnapshot(scan.frames, journal->txns_, choice);
   if (choice.has_value()) {
-    std::uint64_t after = 0;
-    for (std::size_t i = choice->frame_index + 1; i < scan.frames.size();
-         ++i) {
-      if (scan.frames[i].type == FrameType::kTxn) ++after;
-    }
-    journal->since_snapshot_ = after;
     journal->deltas_since_full_ = choice->deltas;
     if (options.delta_snapshots) journal->last_image_ = choice->image;
-  } else {
-    journal->since_snapshot_ = journal->txns_;
   }
   session.set_commit_listener(journal.get());
   return journal;
@@ -260,8 +253,37 @@ void DurableJournal::Compact() {
         "durable journal: poisoned by an earlier write fault; recover "
         "before compacting");
   }
+  const std::optional<std::uint64_t> dropped = CompactJournalFile(path_);
+  if (!dropped.has_value()) return;
+  try {
+    PIVOT_FAULT_POINT("persist.compact.rename.post");
+    writer_ = WalWriter::Append(path_);  // the old fd names the old inode
+  } catch (...) {
+    broken_ = true;
+    throw;
+  }
+  txns_ -= *dropped;
+  ++compactions_;
+}
+
+std::uint64_t JournalBase(const std::vector<WalFrame>& frames) {
+  std::uint64_t base = 0;
+  for (const WalFrame& frame : frames) {
+    if (frame.type != FrameType::kSnapshot) continue;
+    try {
+      base = std::max(base, DecodeSnapshotBody(frame.body).base);
+    } catch (const ProgramError&) {}  // recovery ignores the frame, too
+  }
+  return base;
+}
+
+std::optional<std::uint64_t> CompactJournalFile(const std::string& path) {
   PIVOT_FAULT_POINT("persist.compact.pre");
-  const WalScanResult scan = ScanWal(path_);
+  const WalScanResult scan = ScanWal(path);
+  if (!scan.header_ok || scan.frames.empty() ||
+      scan.valid_bytes != scan.file_bytes) {
+    return std::nullopt;  // not a clean journal; leave it to recovery
+  }
   // Anchor: the newest full snapshot. Without one there is nothing to
   // reclaim.
   std::size_t full = 0;
@@ -271,27 +293,18 @@ void DurableJournal::Compact() {
       break;
     }
   }
-  if (full == 0) return;
+  if (full == 0) return std::nullopt;
   const std::uint64_t dropped = DecodeSnapshotBody(scan.frames[full].body).txns;
-  // The writer only ever records txns_ as the covered count, so the count
-  // must equal the txn frames actually preceding the anchor. A mismatch
-  // means the file was tampered with or this code is wrong — refuse to
-  // drop frames on inconsistent evidence and leave the journal as is
-  // (recovery will sort the file out).
+  // Writers record the file's txn count as the covered count, so it must
+  // equal the txn frames before the anchor; on a mismatch nothing is
+  // dropped (recovery sorts the file out). A 0-txn anchor reclaims nothing.
   std::uint64_t preceding = 0;
   for (std::size_t i = 1; i < full; ++i) {
     if (scan.frames[i].type == FrameType::kTxn) ++preceding;
   }
-  if (preceding != dropped) return;
+  if (dropped == 0 || preceding != dropped) return std::nullopt;
 
-  // Rewrite to <path>.compact: genesis, then the anchor and everything
-  // after it with snapshot covered-counts rebased by the dropped txns.
-  // The tmp is fsynced before the rename — the rename is the commit
-  // point, so a crash at any byte leaves either the complete old journal
-  // or the complete new one, never a hybrid.
-  const std::string tmp = path_ + ".compact";
-  try {
-    WalWriter out = WalWriter::Create(tmp);
+  RewriteWalFile(path, "persist.compact", [&](WalWriter& out) {
     out.AppendFrame(FrameType::kGenesis, scan.frames[0].body, false,
                     "persist.compact.genesis");
     for (std::size_t i = full; i < scan.frames.size(); ++i) {
@@ -311,33 +324,8 @@ void DurableJournal::Compact() {
             false, "persist.compact.snapshot");
       }
     }
-    out.Sync("persist.compact.tmp.synced");
-    PIVOT_FAULT_POINT("persist.compact.rename.pre");
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw ProgramError("durable journal: compaction rename failed: " +
-                         std::string(std::strerror(errno)));
-    }
-  } catch (const FaultInjectedError&) {
-    // The crash harness: the "process" is dead. Leave the tmp file behind
-    // exactly like a real crash would — recovery deletes it.
-    throw;
-  } catch (...) {
-    // Nothing was renamed: the live journal is untouched and the writer
-    // still valid, so the failure is reported but nothing is poisoned.
-    std::remove(tmp.c_str());
-    throw;
-  }
-  try {
-    PIVOT_FAULT_POINT("persist.compact.rename.post");
-    // The old fd now references the replaced (unlinked) inode; swap it for
-    // one opened on the new file.
-    writer_ = WalWriter::Append(path_);
-  } catch (...) {
-    broken_ = true;
-    throw;
-  }
-  txns_ -= dropped;
-  ++compactions_;
+  });
+  return dropped;
 }
 
 // ---------------------------------------------------------------------------
@@ -415,10 +403,14 @@ std::optional<RecoverResult> RecoverOnce(const std::string& path,
   // Base state: the latest snapshot that reconstructs (delta chains
   // resolved, image decoded, covered count consistent), else the genesis
   // source.
+  std::optional<SnapshotChoice> choice =
+      FindLatestUsableSnapshot(scan.frames, rep.txns_in_journal, &errors);
+  out.since_snapshot =
+      TxnsSinceSnapshot(scan.frames, rep.txns_in_journal, choice);
+  out.base = JournalBase(scan.frames);
   std::unique_ptr<Session> session;
   std::uint64_t skip_txns = 0;
-  if (std::optional<SnapshotChoice> choice = FindLatestUsableSnapshot(
-          scan.frames, rep.txns_in_journal, &errors)) {
+  if (choice.has_value()) {
     session = std::make_unique<Session>(std::move(choice->decoded.program),
                                         genesis.options);
     session->RestorePersistedState(std::move(choice->decoded.state));
@@ -426,8 +418,7 @@ std::optional<RecoverResult> RecoverOnce(const std::string& path,
     rep.used_snapshot = true;
     rep.snapshot_txns = choice->covered;
     rep.snapshot_deltas = choice->deltas;
-  }
-  if (session == nullptr) {
+  } else {
     session = std::make_unique<Session>(Parse(genesis.source),
                                         genesis.options);
   }
@@ -480,7 +471,7 @@ RecoverResult RecoverSession(const std::string& path) {
   // (this process or another) still owns it. The lock is released when
   // recovery returns — reattaching a journal re-acquires it.
   const FileLock lock = FileLock::Acquire(path);
-  RemoveStaleCompactTmp(path);
+  RemoveStaleRewriteTmp(path);
   std::vector<std::string> errors;
   bool diverged = false;
   std::uint64_t diverged_cut = 0;

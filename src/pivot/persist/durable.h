@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,11 +50,9 @@ struct PersistOptions {
   // consecutive deltas, bounding both the recovery chain and the span
   // compaction cannot reclaim. Must be >= 1 (1 = every snapshot is full).
   int full_snapshot_every = 8;
-  // After each durable full snapshot, rewrite the journal in place
-  // (genesis + that snapshot + the uncovered tail; everything the
-  // snapshot covers is dropped) via an atomic tmp-file rename. This is
-  // what makes journal size proportional to live history instead of
-  // monotonically increasing.
+  // After each durable full snapshot, run CompactJournalFile on the
+  // journal. This is what makes journal size proportional to live history
+  // instead of monotonically increasing.
   bool compact = false;
   // Skip the rewrite while the journal is smaller than this (the rewrite
   // costs a full file copy; tiny journals are not worth it). 0 = always
@@ -100,13 +99,9 @@ class DurableJournal final : public CommitListener {
   // Current journal file size (the next append offset).
   std::uint64_t journal_bytes() const { return writer_.offset(); }
 
-  // Rewrites the journal down to genesis + the latest full snapshot + the
-  // frames after it, dropping everything the snapshot covers. The rewrite
-  // goes to `<path>.compact`, is fsynced, and is renamed over the journal
-  // atomically — a crash at any point leaves either the old or the new
-  // file, never a hybrid. No-op when the journal holds no full snapshot.
-  // Runs automatically after each full snapshot when PersistOptions::
-  // compact is set; public for explicit calls (tools, tests).
+  // CompactJournalFile, then reopens the writer on the new file (a failure
+  // after the rename poisons the journal). Runs after each full snapshot
+  // when PersistOptions::compact is set; public for tools and tests.
   void Compact();
 
  private:
@@ -156,6 +151,11 @@ struct JournalRecoveryReport {
 struct RecoverResult {
   std::unique_ptr<Session> session;
   JournalRecoveryReport report;
+  // Where a journal appended behind the file resumes, so attaching needs
+  // no second scan: the txn frames after the snapshot recovery used (all
+  // of them when it used none), and the file's JournalBase.
+  std::uint64_t since_snapshot = 0;
+  std::uint64_t base = 0;
 };
 
 // Free-function form of Session::Recover. Throws ProgramError when the
@@ -164,6 +164,22 @@ struct RecoverResult {
 // or holds no usable genesis frame. Corrupt/torn tails do not throw: they
 // are truncated and reported.
 RecoverResult RecoverSession(const std::string& path);
+
+// Rewrites the journal at `path` (RewriteWalFile, persist.compact.*
+// points) to genesis + the newest full snapshot + the frames after it;
+// snapshots kept are rebased and carry the drop in their `base` clause
+// (persist/wire.h). Returns the txn frames dropped, or nullopt when the
+// file is left as it is: not clean, no full snapshot, an anchor covering
+// no txns, or one whose covered count the txn frames before it
+// contradict. The caller holds the journal's FileLock and, after a
+// rewrite, crosses persist.compact.rename.post before its next step.
+std::optional<std::uint64_t> CompactJournalFile(const std::string& path);
+
+// The txn frames compaction dropped from beneath a journal (its t-th txn
+// frame is the (base + t)-th committed one): the largest `base` clause of
+// its full snapshot frames, skipping one whose prefix does not decode.
+// Gwal reconciliation and the server journal's resume both use it.
+std::uint64_t JournalBase(const std::vector<WalFrame>& frames);
 
 }  // namespace pivot
 

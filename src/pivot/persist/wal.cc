@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <thread>
@@ -34,6 +35,8 @@ std::uint32_t GetU32(const std::string& data, std::size_t pos) {
 [[noreturn]] void IoError(const std::string& what) {
   throw ProgramError("journal file: " + what + ": " + std::strerror(errno));
 }
+
+constexpr char kRewriteSuffix[] = ".compact";
 
 bool TransientErrno(int err) {
   return err == EINTR || err == EAGAIN || err == EWOULDBLOCK;
@@ -256,6 +259,29 @@ void TruncateWal(const std::string& path, std::uint64_t valid_bytes) {
   if (::truncate(path.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
     IoError("truncate failed");
   }
+}
+
+void RewriteWalFile(const std::string& path, const std::string& point_prefix,
+                    const std::function<void(WalWriter&)>& write) {
+  const std::string tmp = path + kRewriteSuffix;
+  try {
+    WalWriter out = WalWriter::Create(tmp);
+    write(out);
+    out.Sync(point_prefix + ".tmp.synced");
+    PIVOT_FAULT_POINT((point_prefix + ".rename.pre").c_str());
+    if (::rename(tmp.c_str(), path.c_str()) != 0) {
+      IoError("cannot rename " + tmp + " over " + path);
+    }
+  } catch (const FaultInjectedError&) {
+    throw;  // the crash harness: the "process" is dead, the tmp stays
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+}
+
+void RemoveStaleRewriteTmp(const std::string& path) {
+  std::remove((path + kRewriteSuffix).c_str());
 }
 
 }  // namespace pivot

@@ -28,6 +28,7 @@
 #define PIVOT_PERSIST_WAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,10 +81,9 @@ class WalWriter {
   static WalWriter Append(const std::string& path);
 
   WalWriter(WalWriter&& other) noexcept;
-  // Move assignment closes the current fd and adopts the other writer's.
-  // Compaction relies on this: after renaming the rewritten file over the
-  // journal, the stale fd (now referencing the replaced inode) is swapped
-  // for one opened on the new file.
+  // Move assignment closes the current fd and adopts the other writer's:
+  // after RewriteWalFile, a writer swaps its fd on the replaced inode for
+  // one opened on the new file.
   WalWriter& operator=(WalWriter&& other) noexcept;
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -149,6 +149,19 @@ WalScanResult ScanWal(const std::string& path);
 
 // Cuts the file down to its valid prefix. Throws ProgramError on I/O error.
 void TruncateWal(const std::string& path, std::uint64_t valid_bytes);
+
+// The atomic rewrite every compaction uses: `write` fills a fresh
+// `<path>.compact`, which is fsynced ("<point_prefix>.tmp.synced") and, at
+// "<point_prefix>.rename.pre", renamed over `path`: the rename is the
+// commit point, so a crash leaves the old file or the new one. An injected
+// crash leaves the tmp as a real one would; any other failure removes it.
+// Steps after the rename (reopening a writer) are the caller's.
+void RewriteWalFile(const std::string& path, const std::string& point_prefix,
+                    const std::function<void(WalWriter&)>& write);
+
+// Deletes a `<path>.compact` a crash left behind: before the rename it is
+// garbage by definition, never adopted.
+void RemoveStaleRewriteTmp(const std::string& path);
 
 }  // namespace pivot
 

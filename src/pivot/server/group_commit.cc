@@ -1,8 +1,5 @@
 #include "pivot/server/group_commit.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "pivot/persist/token.h"
@@ -72,9 +69,7 @@ GroupCommitLog::GroupCommitLog(const std::string& path, bool create,
       // log_bytes_ updates) from then on.
       log_bytes_(writer_.offset()),
       worker_([this] { WorkerLoop(); }) {
-  // A leftover rewrite tmp from a crash mid-compaction is garbage by
-  // definition (the rename is the commit point).
-  std::remove((path + ".compact").c_str());
+  RemoveStaleRewriteTmp(path);
 }
 
 GroupCommitLog::~GroupCommitLog() {
@@ -327,7 +322,6 @@ void GroupCommitLog::WorkerLoop() {
 
 std::exception_ptr GroupCommitLog::DoCompact(
     const std::map<std::string, std::uint64_t>& watermarks) {
-  const std::string tmp = path_ + ".compact";
   bool renamed = false;
   try {
     PIVOT_FAULT_POINT("server.gwal.compact.pre");
@@ -380,32 +374,27 @@ std::exception_ptr GroupCommitLog::DoCompact(
     }
     if (drop_now.empty()) return nullptr;  // nothing to reclaim
 
-    WalWriter out = WalWriter::Create(tmp);
-    // Marks first: one consolidated cumulative mark per session.
-    for (const auto& [session, dropped] : cumulative) {
-      out.AppendFrame(FrameType::kGroup, EncodeGroupMark(session, dropped),
-                      /*fsync=*/false, "server.gwal.compact.mark");
-    }
-    std::map<std::string, std::uint64_t> skipped;
-    for (const Entry& e : entries) {
-      if (e.decoded.mark) continue;  // consolidated above
-      if (e.decoded.type == FrameType::kTxn) {
-        const auto drop = drop_now.find(e.decoded.session);
-        if (drop != drop_now.end() &&
-            skipped[e.decoded.session] < drop->second) {
-          ++skipped[e.decoded.session];
-          continue;
-        }
+    RewriteWalFile(path_, "server.gwal.compact", [&](WalWriter& out) {
+      // Marks first: one consolidated cumulative mark per session.
+      for (const auto& [session, dropped] : cumulative) {
+        out.AppendFrame(FrameType::kGroup, EncodeGroupMark(session, dropped),
+                        /*fsync=*/false, "server.gwal.compact.mark");
       }
-      out.AppendFrame(FrameType::kGroup, e.frame->body, /*fsync=*/false,
-                      "server.gwal.compact.frame");
-    }
-    out.Sync("server.gwal.compact.tmp.synced");
-    PIVOT_FAULT_POINT("server.gwal.compact.rename.pre");
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw ProgramError("group log: compaction rename failed: " +
-                         std::string(std::strerror(errno)));
-    }
+      std::map<std::string, std::uint64_t> skipped;
+      for (const Entry& e : entries) {
+        if (e.decoded.mark) continue;  // consolidated above
+        if (e.decoded.type == FrameType::kTxn) {
+          const auto drop = drop_now.find(e.decoded.session);
+          if (drop != drop_now.end() &&
+              skipped[e.decoded.session] < drop->second) {
+            ++skipped[e.decoded.session];
+            continue;
+          }
+        }
+        out.AppendFrame(FrameType::kGroup, e.frame->body, /*fsync=*/false,
+                        "server.gwal.compact.frame");
+      }
+    });
     renamed = true;
     PIVOT_FAULT_POINT("server.gwal.compact.rename.post");
     // The old fd references the replaced (unlinked) inode; reopen.
@@ -425,9 +414,8 @@ std::exception_ptr GroupCommitLog::DoCompact(
     return error;
   } catch (const ProgramError&) {
     if (!renamed) {
-      // The live log was never touched: report the failure to the
-      // requester and keep serving.
-      std::remove(tmp.c_str());
+      // The live log was never touched (RewriteWalFile removed its tmp):
+      // report the failure to the requester and keep serving.
       return std::current_exception();
     }
     // Renamed but could not reopen the writer: the file on disk is a

@@ -125,11 +125,11 @@ class GroupCommitLog {
   // recording the new cumulative count in a retention mark. The caller
   // vouches that those envelopes are durable (fsynced) in the session's
   // own WAL — that is the entire safety argument for reclaiming them.
-  // Genesis envelopes are always kept. The rewrite goes to
-  // `<path>.compact`, is fsynced, and renamed over the log atomically;
-  // a crash at any byte leaves the complete old log or the complete new
-  // one. Runs on the worker thread (the writer is worker-owned); blocks
-  // until the pass completes and rethrows its failure, if any.
+  // Genesis envelopes are always kept. The rewrite is persist's
+  // RewriteWalFile (tmp file, fsync, rename), so a crash at any byte
+  // leaves the complete old log or the complete new one. Runs on the
+  // worker thread (the writer is worker-owned); blocks until the pass
+  // completes and rethrows its failure, if any.
   void Compact(std::map<std::string, std::uint64_t> watermarks);
 
   // Current log size in bytes (maintained by the worker; safe to read from

@@ -4,11 +4,11 @@
 // idle sessions exhaust the process long before traffic does. The paper's
 // premise — session state is a deterministic function of the journal — is
 // the license to *passivate* an idle session: append one final snapshot,
-// fsync the WAL, release the in-memory Session and its journal, and keep
-// only a stub carrying the acked-transaction watermark. The next request
-// for the name *reactivates* it transparently through the ordinary
-// Session::Recover path (snapshot + tail replay), so clients never observe
-// the eviction beyond latency.
+// fsync the WAL, release the in-memory Session and its journal, compact
+// the WAL with persist's CompactJournalFile, and keep only a stub carrying
+// the acked-transaction watermark. The next request for the name
+// *reactivates* it transparently through RecoverSession (snapshot + tail
+// replay), so clients never observe the eviction beyond latency.
 //
 // This header holds the policy knobs and the byte-accounted LRU the server
 // uses to pick victims; the passivation/reactivation machinery itself lives
@@ -39,13 +39,6 @@ struct LifecycleOptions {
   std::uint64_t idle_passivate_ms = 0;
   // How often the reaper wakes to look for idle sessions.
   std::uint64_t reaper_interval_ms = 100;
-  // After the final passivation snapshot, rewrite the session WAL down to
-  // genesis + snapshot + tail (atomic tmp + rename, crash-swept like
-  // persist compaction) so a passivated session's disk footprint tracks
-  // its live state, not its whole history. The rewrite pushes the dropped
-  // txn count into the snapshot's `base` clause (persist/wire.h) so gwal
-  // reconciliation still aligns by absolute transaction index.
-  bool compact_on_passivate = true;
 };
 
 // Byte-accounted LRU over the names of resident sessions. Front of the

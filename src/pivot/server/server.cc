@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <thread>
@@ -132,38 +131,23 @@ class PivotServer::ServerJournal final : public CommitListener {
     }
   }
 
-  // After recovery: append behind the (already truncated-to-valid) end.
-  static std::unique_ptr<ServerJournal> Attach(Session& session,
+  // After recovery: append behind the end recovery truncated the file
+  // to, resuming the accounting recovery derived from its own scan.
+  static std::unique_ptr<ServerJournal> Attach(const RecoverResult& recovered,
                                                const std::string& name,
                                                const std::string& path,
                                                GroupCommitLog& group,
                                                int snapshot_interval,
                                                std::function<void()> degrade) {
     FileLock lock = FileLock::Acquire(path);
-    const WalScanResult scan = ScanWal(path);
-    if (!scan.header_ok || scan.frames.empty() ||
-        scan.valid_bytes != scan.file_bytes) {
-      throw ProgramError("server journal: " + path +
-                         " is not a clean journal; recover it first");
-    }
     auto journal = std::unique_ptr<ServerJournal>(
-        new ServerJournal(session, name, std::move(lock),
+        new ServerJournal(*recovered.session, name, std::move(lock),
                           WalWriter::Append(path), group, snapshot_interval,
                           std::move(degrade)));
-    for (const WalFrame& frame : scan.frames) {
-      if (frame.type == FrameType::kTxn) {
-        ++journal->txns_;
-        ++journal->since_snapshot_;
-      } else if (frame.type == FrameType::kSnapshot) {
-        journal->since_snapshot_ = 0;
-        // Compaction (at passivation) pushes dropped txn frames into the
-        // snapshot's base clause; the largest one is the file's cumulative
-        // offset into the session's absolute history.
-        const std::uint64_t base = DecodeSnapshotBody(frame.body).base;
-        if (base > journal->base_) journal->base_ = base;
-      }
-    }
-    session.set_commit_listener(journal.get());
+    journal->txns_ = recovered.report.txns_in_journal;
+    journal->since_snapshot_ = recovered.since_snapshot;
+    journal->base_ = recovered.base;
+    recovered.session->set_commit_listener(journal.get());
     return journal;
   }
 
@@ -238,8 +222,6 @@ class PivotServer::ServerJournal final : public CommitListener {
     // was compacted while passivated reports its base plus what it holds.
     return base_ + covered;
   }
-
-  bool broken() const { return broken_; }
 
   void OnCommitted(const TxnDescriptor& desc) override {
     (void)desc;
@@ -332,10 +314,9 @@ class PivotServer::ServerJournal final : public CommitListener {
   // Atomic so the retention pass can read a durable-coverage watermark
   // without taking the session lock (see SyncWalForRetention).
   std::atomic<std::uint64_t> txns_{0};
-  // Cumulative txn frames compaction dropped from beneath this file (the
-  // largest snapshot base at attach time); txns_ stays file-relative, so
-  // the absolute acked count is base_ + txns_. Immutable after attach —
-  // the file is only ever compacted while no journal owns it.
+  // Txn frames compaction dropped from beneath this file (its
+  // JournalBase): the absolute acked count is base_ + txns_.
+  // Immutable — the file is only compacted while no journal owns it.
   std::uint64_t base_ = 0;
   std::uint64_t since_snapshot_ = 0;
   std::atomic<bool> broken_{false};
@@ -369,78 +350,6 @@ struct PivotServer::Hosted {
 };
 
 namespace {
-
-// Rewrites a clean, unowned session WAL down to genesis + the newest full
-// snapshot + the frames after it, mirroring persist's compaction: the
-// rewrite goes to `<path>.compact`, is fsynced, and renamed over the
-// journal atomically, so a crash at any byte leaves the complete old file
-// or the complete new one. Dropped txn frames are pushed into the
-// snapshots' `base` clause so gwal reconciliation can still align the file
-// by absolute transaction index. The caller holds the journal's flock (no
-// live writer may race the rename) and runs this only at passivation —
-// after the final snapshot is durable, which is what licenses dropping
-// the covered prefix. Stale tmp files are removed by RecoverSession at
-// reactivation, exactly like persist compaction crashes.
-void CompactSessionWalFile(const std::string& path) {
-  PIVOT_FAULT_POINT("server.evict.compact.pre");
-  const WalScanResult scan = ScanWal(path);
-  if (!scan.header_ok || scan.frames.empty() ||
-      scan.valid_bytes != scan.file_bytes) {
-    return;  // not a clean journal; leave it to recovery
-  }
-  std::size_t full = 0;
-  for (std::size_t i = scan.frames.size(); i-- > 1;) {
-    if (scan.frames[i].type == FrameType::kSnapshot) {
-      full = i;
-      break;
-    }
-  }
-  if (full == 0) return;
-  const SnapshotBody anchor = DecodeSnapshotBody(scan.frames[full].body);
-  const std::uint64_t dropped = anchor.txns;
-  if (dropped == 0) return;
-  // Same inconsistency guard as persist's Compact: the anchor's covered
-  // count must equal the txn frames actually preceding it, or nothing is
-  // dropped on untrustworthy evidence.
-  std::uint64_t preceding = 0;
-  for (std::size_t i = 1; i < full; ++i) {
-    if (scan.frames[i].type == FrameType::kTxn) ++preceding;
-  }
-  if (preceding != dropped) return;
-
-  const std::string tmp = path + ".compact";
-  try {
-    WalWriter out = WalWriter::Create(tmp);
-    out.AppendFrame(FrameType::kGenesis, scan.frames[0].body, false,
-                    "server.evict.compact.frame");
-    for (std::size_t i = full; i < scan.frames.size(); ++i) {
-      const WalFrame& frame = scan.frames[i];
-      if (frame.type == FrameType::kTxn) {
-        out.AppendFrame(FrameType::kTxn, frame.body, false,
-                        "server.evict.compact.frame");
-      } else if (frame.type == FrameType::kSnapshot) {
-        SnapshotBody body = DecodeSnapshotBody(frame.body);
-        body.txns = body.txns >= dropped ? body.txns - dropped : 0;
-        out.AppendFrame(
-            FrameType::kSnapshot,
-            EncodeSnapshotBody(body.txns, body.payload, body.base + dropped),
-            false, "server.evict.compact.frame");
-      }
-    }
-    out.Sync("server.evict.compact.tmp.synced");
-    PIVOT_FAULT_POINT("server.evict.compact.rename.pre");
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      throw ProgramError("session wal compaction rename failed: " +
-                         std::string(std::strerror(errno)));
-    }
-    PIVOT_FAULT_POINT("server.evict.compact.rename.post");
-  } catch (const FaultInjectedError&) {
-    throw;  // crash harness: leave everything as the crash left it
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
-}
 
 // Releases an admission slot (global or per-session) on scope exit.
 struct SlotGuard {
@@ -947,25 +856,27 @@ Response PivotServer::DoRecover(const Request& req) {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       reconciled_.insert(req.session);
     }
-    const std::string path = SessionWalPath(req.session);
-    RecoverResult recovered = RecoverSession(path);
-    hosted->session = std::move(recovered.session);
-    auto journal = ServerJournal::Attach(
-        *hosted->session, req.session, path, *group_,
-        options_.snapshot_interval,
-        [this] { Degrade("session journal write fault"); });
-    {
-      std::lock_guard<std::mutex> retention(hosted->retention_mu);
-      hosted->journal = std::move(journal);
-    }
-    resp.value = recovered.report.txns_replayed;
-    resp.text = recovered.report.ToString();
+    const JournalRecoveryReport report = RecoverAndAttach(*hosted);
+    resp.value = report.txns_replayed;
+    resp.text = report.ToString();
   } catch (...) {
     Unpublish(hosted);
     throw;
   }
   TouchLru(req.session, *hosted->session);
   return resp;
+}
+
+JournalRecoveryReport PivotServer::RecoverAndAttach(Hosted& hosted) {
+  const std::string path = SessionWalPath(hosted.name);
+  RecoverResult recovered = RecoverSession(path);
+  auto journal = ServerJournal::Attach(
+      recovered, hosted.name, path, *group_, options_.snapshot_interval,
+      [this] { Degrade("session journal write fault"); });
+  hosted.session = std::move(recovered.session);
+  std::lock_guard<std::mutex> retention(hosted.retention_mu);
+  hosted.journal = std::move(journal);
+  return std::move(recovered.report);
 }
 
 // The gwal retention pass. Ordering is the whole safety story: each open
@@ -1125,19 +1036,10 @@ void PivotServer::ReconcileSessionWal(const std::string& name) {
     if (entry.type == FrameType::kTxn) gwal_txns.push_back(&entry);
   }
 
-  // Txn frames dropped from beneath the FILE by passivation compaction,
-  // recorded in the snapshots' base clause: the file's t-th txn frame
-  // (0-based) is transaction sbase + t of the session's absolute history.
-  // Compaction only ever drops frames covered by a durable snapshot, so
-  // the missing prefix needs no content check — the snapshot IS its
-  // digest-verified summary.
-  std::uint64_t sbase = 0;
-  for (const WalFrame& frame : scan.frames) {
-    if (frame.type == FrameType::kSnapshot) {
-      const std::uint64_t base = DecodeSnapshotBody(frame.body).base;
-      if (base > sbase) sbase = base;
-    }
-  }
+  // Txn frames passivation compaction dropped from beneath the FILE. They
+  // were covered by a durable snapshot, so the missing prefix needs no
+  // content check — the snapshot IS its digest-verified summary.
+  const std::uint64_t sbase = JournalBase(scan.frames);
 
   // Longest prefix of the session file whose txn frames byte-match the
   // acked sequence, aligned by ABSOLUTE transaction index: both the gwal
@@ -1208,10 +1110,10 @@ void PivotServer::ReconcileSessionWal(const std::string& name) {
 //      envelopes via the stub instead of the live journal;
 //   3. release the journal (under retention_mu, fencing a concurrent
 //      retention pass) and the Session;
-//   4. optionally rewrite the WAL down to genesis + snapshot + tail.
+//   4. CompactJournalFile: genesis + the final snapshot, then
+//      persist.compact.rename.post with the flock still held.
 // A crash between any two steps is covered: the snapshot of step 1 is
-// durable before anything is released, and the compaction of step 4 is
-// atomic (tmp + rename) with stale tmps cleaned at reactivation.
+// durable before anything is released, and step 4 is atomic.
 bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   PIVOT_FAULT_POINT("server.evict.pre");
   std::uint64_t watermark = 0;
@@ -1247,18 +1149,18 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.passivations;
   }
-  if (options_.lifecycle.compact_on_passivate) {
-    try {
-      // The journal's flock was just released; re-acquire it for the
-      // rewrite so no other process can race the rename.
-      FileLock lock = FileLock::Acquire(SessionWalPath(hosted->name));
-      CompactSessionWalFile(SessionWalPath(hosted->name));
-    } catch (const FaultInjectedError&) {
-      throw;  // crash harness
-    } catch (...) {
-      // Compaction is an optimization — the uncompacted file is valid and
-      // reactivation does not depend on it.
+  try {
+    // Re-take the flock the journal just released: nothing races the rename.
+    const std::string path = SessionWalPath(hosted->name);
+    const FileLock lock = FileLock::Acquire(path);
+    if (CompactJournalFile(path).has_value()) {
+      PIVOT_FAULT_POINT("persist.compact.rename.post");
     }
+  } catch (const FaultInjectedError&) {
+    throw;  // crash harness
+  } catch (...) {
+    // Compaction is an optimization — the uncompacted file is valid and
+    // reactivation does not depend on it.
   }
   PIVOT_FAULT_POINT("server.evict.stub.post");
   return true;
@@ -1272,22 +1174,9 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
 // leftovers.
 void PivotServer::ReactivateLocked(const std::shared_ptr<Hosted>& hosted) {
   PIVOT_FAULT_POINT("server.evict.reactivate.pre");
-  const std::string path = SessionWalPath(hosted->name);
-  RecoverResult recovered = RecoverSession(path);  // throws on failure
-  hosted->session = std::move(recovered.session);
-  try {
-    auto journal = ServerJournal::Attach(
-        *hosted->session, hosted->name, path, *group_,
-        options_.snapshot_interval,
-        [this] { Degrade("session journal write fault"); });
-    std::lock_guard<std::mutex> retention(hosted->retention_mu);
-    hosted->journal = std::move(journal);
-  } catch (...) {
-    // Back to a stub: the watermark is still valid (nothing was written)
-    // and the next request retries the recovery.
-    hosted->session.reset();
-    throw;
-  }
+  // Throws on failure, leaving the stub: the watermark is still valid
+  // (nothing was written) and the next request retries the recovery.
+  RecoverAndAttach(*hosted);
   hosted->passivated.store(false, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -171,10 +171,13 @@ class PivotServer {
   // verified the session is live. Returns false when the WAL could not be
   // made durable (the session stays resident; the server degrades).
   bool PassivateLocked(const std::shared_ptr<Hosted>& hosted);
-  // Reactivation through Session::Recover + journal reattach. Caller holds
-  // hosted->mu on a passivated stub; throws on failure (the stub survives
-  // for a later retry).
+  // Reactivation through RecoverAndAttach. Caller holds hosted->mu on a
+  // passivated stub; throws on failure (the stub survives for a retry).
   void ReactivateLocked(const std::shared_ptr<Hosted>& hosted);
+  // kRecover's and reactivation's sequence: RecoverSession, then a journal
+  // resuming from RecoverResult's accounting. Sets hosted's session and
+  // journal (neither when it throws); returns the recovery report.
+  JournalRecoveryReport RecoverAndAttach(Hosted& hosted);
   // Budget enforcement: passivate LRU sessions until resident bytes/count
   // fit the lifecycle options. Called with no session lock held; at most
   // one enforcement pass runs at a time.

@@ -16,6 +16,9 @@ bool FaultInjector::ArmedLocked() const {
 
 void FaultInjector::Arm(const std::string& point, int countdown) {
   PIVOT_CHECK_MSG(countdown >= 1, "countdown must be at least 1");
+  PIVOT_CHECK_MSG(std::find(KnownPoints().begin(), KnownPoints().end(),
+                            point) != KnownPoints().end(),
+                  "unknown fault point '" << point << "'");
   std::lock_guard<std::mutex> lock(mu_);
   scripted_[point] = countdown;
   active_.store(true, std::memory_order_relaxed);
@@ -38,6 +41,9 @@ void FaultInjector::ArmProbabilistic(double probability,
 
 void FaultInjector::ArmTransient(const std::string& point, int failures) {
   PIVOT_CHECK_MSG(failures >= 1, "failure count must be at least 1");
+  PIVOT_CHECK_MSG(point == "wal.write.transient" ||
+                      point == "wal.fsync.transient",
+                  "unknown transient fault point '" << point << "'");
   std::lock_guard<std::mutex> lock(mu_);
   transient_[point] = failures;
   active_.store(true, std::memory_order_relaxed);
@@ -118,11 +124,10 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "persist.snapshot.header.post", "persist.snapshot.mid",
       "persist.snapshot.post",        "persist.snapshot.fsync.post",
       "persist.recover.truncate.pre",
-      // Journal compaction crash points. The tmp-file frames
+      // Journal compaction crash points (CompactJournalFile, run by
+      // DurableJournal::Compact and by passivation). The tmp-file frames
       // (.genesis/.snapshot/.txn triples) tear the rewrite before the
-      // rename commit point; .rename.pre/.post straddle it. Crash anywhere
-      // must leave either the complete old journal or the complete new
-      // one.
+      // rename commit point; .rename.pre/.post straddle it.
       "persist.compact.pre",
       "persist.compact.genesis.header.post", "persist.compact.genesis.mid",
       "persist.compact.genesis.post",        "persist.compact.snapshot.header.post",
@@ -144,8 +149,8 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "server.gwal.frame.mid",           "server.gwal.frame.post",
       "server.gwal.sync.post",           "server.ack.pre",
       "server.recover.reconcile.pre",
-      // gwal retention crash points, mirroring persist.compact.*: tmp-file
-      // tears before the rename commit point, then the rename straddle.
+      // gwal retention crash points, the same rewrite protocol as
+      // persist.compact.*.
       "server.gwal.compact.pre",
       "server.gwal.compact.mark.header.post",
       "server.gwal.compact.mark.mid",
@@ -158,23 +163,16 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "server.gwal.compact.rename.post",
       // Session eviction (passivation/reactivation) crash points. The
       // .snapshot.* quadruple tears the final durable snapshot; release.pre
-      // sits between that fsync and the stub publication; the compact.*
-      // family mirrors persist.compact.* for the passivated-WAL rewrite;
-      // stub.post is the fully passivated state; reactivate.pre/.post
-      // straddle the Session::Recover + reattach of the next request.
+      // sits between that fsync and the stub publication; the WAL
+      // compaction after it crosses persist.compact.*; stub.post is the
+      // fully passivated state; reactivate.pre/.post straddle the next
+      // request's recover + attach.
       "server.evict.pre",
       "server.evict.snapshot.header.post",
       "server.evict.snapshot.mid",
       "server.evict.snapshot.post",
       "server.evict.snapshot.fsync.post",
       "server.evict.release.pre",
-      "server.evict.compact.pre",
-      "server.evict.compact.frame.header.post",
-      "server.evict.compact.frame.mid",
-      "server.evict.compact.frame.post",
-      "server.evict.compact.tmp.synced",
-      "server.evict.compact.rename.pre",
-      "server.evict.compact.rename.post",
       "server.evict.stub.post",
       "server.evict.reactivate.pre",
       "server.evict.reactivate.post",

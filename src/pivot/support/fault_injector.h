@@ -54,7 +54,8 @@ class FaultInjector {
 
   // --- arming ---
   // Fire at the `countdown`-th upcoming crossing of `point` (1 = the next
-  // one), then disarm that script.
+  // one), then disarm that script. A `point` not in KnownPoints() fails a
+  // PIVOT_CHECK (InternalError): a misspelt or retired name never fires.
   void Arm(const std::string& point, int countdown = 1);
 
   // Fire at the `countdown`-th upcoming crossing of *any* fault point,
@@ -72,7 +73,8 @@ class FaultInjector {
   // throw: the instrumented call site (the WAL's write/fsync retry loop)
   // decides whether to retry or to give up, which is exactly the behaviour
   // under test. Arming more failures than the site's retry budget models a
-  // *permanent* fault.
+  // *permanent* fault. The only sites are "wal.write.transient" and
+  // "wal.fsync.transient"; any other name fails a PIVOT_CHECK.
   void ArmTransient(const std::string& point, int failures);
 
   // Consulted by retryable I/O sites before each attempt; true = fail this
@@ -93,7 +95,7 @@ class FaultInjector {
     return observed_;
   }
 
-  std::uint64_t crossings() const { return crossings_; }
+  std::uint64_t crossings() const { return crossings_.load(); }
   std::uint64_t faults_fired() const { return faults_fired_; }
   std::uint64_t transient_failures_injected() const {
     return transient_injected_;
@@ -122,7 +124,7 @@ class FaultInjector {
   int any_countdown_ = 0;                          // 0 = off
   double probability_ = 0.0;
   Rng rng_;
-  std::uint64_t crossings_ = 0;
+  std::atomic<std::uint64_t> crossings_{0};  // read outside mu_ (UndoStats)
   std::uint64_t faults_fired_ = 0;
   std::uint64_t transient_injected_ = 0;
   std::vector<std::string> observed_;

@@ -315,6 +315,26 @@ TEST_F(FaultInjection, ScriptedFaultIsAbsorbedAndReported) {
   EXPECT_NE(s.AnnotationsToString().find("md_"), std::string::npos);
 }
 
+// A misspelt or retired point name must not arm silently: such a script
+// never fires, and a one-shot Arm test would then pass without testing
+// anything.
+TEST_F(FaultInjection, ArmRefusesNamesNoSiteCrosses) {
+  FaultInjector& injector = FaultInjector::Instance();
+  EXPECT_THROW(injector.Arm("journal.modify.pree"), InternalError);
+  EXPECT_THROW(injector.Arm("server.evict.compact.pre"), InternalError);
+  EXPECT_THROW(injector.Arm("wal.write.transient"), InternalError);
+  EXPECT_THROW(injector.ArmTransient("persist.txn.mid", 1), InternalError);
+  EXPECT_THROW(injector.ArmTransient("wal.read.transient", 1), InternalError);
+  EXPECT_FALSE(injector.armed());
+
+  for (const std::string& point : FaultInjector::KnownPoints()) {
+    injector.Arm(point);
+  }
+  injector.ArmTransient("wal.write.transient", 1);
+  injector.ArmTransient("wal.fsync.transient", 1);
+  EXPECT_TRUE(injector.armed());
+}
+
 // Strict mode re-checks cross-layer invariants before every commit and
 // rolls the transaction back when they fail.
 TEST_F(FaultInjection, StrictModeRejectsIncoherentState) {

@@ -862,6 +862,35 @@ TEST_F(Durable, CompactionShrinksTheJournalAndStaysRecoverable) {
   ExpectEquivalent(s, *r2.session, "recovery after reattach + compaction");
 }
 
+// RecoverResult::base is the file's JournalBase, the count gwal
+// reconciliation aligns by: a compacted file's drop stays counted when
+// recovery rejects the snapshot frame that carries it.
+TEST_F(Durable, RecoverKeepsTheCompactedBaseOfARejectedSnapshot) {
+  const std::string path = TmpPath("base_rejected_snap");
+  PersistOptions opts;
+  opts.snapshot_interval = 4;  // one snapshot, after the 4th txn
+  opts.compact = true;
+  {
+    Session s(Parse(kSource));
+    auto wal = DurableJournal::Create(s, path, opts);
+    RunWorkload(s);
+    ASSERT_EQ(wal->compactions(), 1u);
+  }
+  const WalScanResult scan = ScanWal(path);
+  ASSERT_EQ(scan.frames.size(), 2u);  // genesis + the rebased snapshot
+  const SnapshotBody anchor = DecodeSnapshotBody(scan.frames[1].body);
+  EXPECT_EQ(anchor.base, 4u);
+  EXPECT_EQ(JournalBase(scan.frames), 4u);
+  RewriteFrame(path, 1, FrameType::kSnapshot,
+               EncodeSnapshotBody(anchor.txns, "garbage, not an image",
+                                  anchor.base));
+
+  RecoverResult r = RecoverSession(path);
+  EXPECT_FALSE(r.report.used_snapshot);
+  EXPECT_EQ(r.since_snapshot, 0u);
+  EXPECT_EQ(r.base, 4u);
+}
+
 TEST_F(Durable, ExplicitCompactKeepsTheUncoveredTail) {
   const std::string path = TmpPath("compact_tail");
   Session s(Parse(kSource));

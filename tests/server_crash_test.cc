@@ -62,7 +62,6 @@ ServerOptions Opts(const std::string& dir,
     // nearly every request passivates the other session and reactivates
     // its own, so the server.evict.* points are crossed continuously.
     o.lifecycle.max_resident = 1;
-    o.lifecycle.compact_on_passivate = true;
   }
   return o;
 }
@@ -346,8 +345,10 @@ INSTANTIATE_TEST_SUITE_P(
 // The eviction sweep: max_resident=1 forces the two-session schedule to
 // passivate one session and reactivate the other on nearly every request,
 // so the server.evict.* points — the final durable snapshot, the window
-// between that fsync and the stub publication, the passivated-WAL rewrite,
-// the reactivation replay — are crossed continuously. The gwal retention
+// between that fsync and the stub publication, the reactivation replay —
+// and the persist.compact.* points of the passivated-WAL rewrite are
+// crossed continuously (rename.post right after the rename, before the
+// flock is released and server.evict.stub.post). The gwal retention
 // pass also runs after every request (threshold 1 byte), so retention
 // regularly consumes a passivated STUB's watermark rather than a live
 // journal's: a crash must never lose a commit whose group-log envelope was
@@ -382,13 +383,16 @@ INSTANTIATE_TEST_SUITE_P(
                       "server.evict.snapshot.post",
                       "server.evict.snapshot.fsync.post",
                       "server.evict.release.pre",
-                      "server.evict.compact.pre",
-                      "server.evict.compact.frame.header.post",
-                      "server.evict.compact.frame.mid",
-                      "server.evict.compact.frame.post",
-                      "server.evict.compact.tmp.synced",
-                      "server.evict.compact.rename.pre",
-                      "server.evict.compact.rename.post",
+                      "persist.compact.pre",
+                      "persist.compact.genesis.header.post",
+                      "persist.compact.genesis.mid",
+                      "persist.compact.genesis.post",
+                      "persist.compact.snapshot.header.post",
+                      "persist.compact.snapshot.mid",
+                      "persist.compact.snapshot.post",
+                      "persist.compact.tmp.synced",
+                      "persist.compact.rename.pre",
+                      "persist.compact.rename.post",
                       "server.evict.stub.post",
                       "server.evict.reactivate.pre",
                       "server.evict.reactivate.post"),

@@ -879,6 +879,71 @@ TEST_F(ServerTest, ReconciliationRebuildsAFullyLostSessionWal) {
             reference.Source());
 }
 
+// A trailing snapshot frame that scans but does not decode is ignored by
+// recovery, so the journal attached behind it must count every txn as
+// uncovered and snapshot again on the next commit instead of a full
+// interval later — the accounting Durable.ReattachIgnoresACorruptTrailing-
+// Snapshot pins for persist's own journal, here through kRecover.
+TEST_F(ServerTest, RecoverResumesSnapshotCadenceFromTheSnapshotRecoveryUsed) {
+  const std::string dir = FreshDir("resume_cadence");
+  const std::string swal = dir + "/s1.wal";
+  const char kFolds[] =
+      "a = 1 + 2\n"
+      "b = 3 + 4\n"
+      "c = 5 + 6\n"
+      "d = 7 + 8\n"
+      "write a\n"
+      "write b\n"
+      "write c\n"
+      "write d\n";
+  ServerOptions opts = Opts(dir);
+  opts.snapshot_interval = 3;
+  const auto snapshot_frames = [&] {
+    std::size_t n = 0;
+    for (const WalFrame& f : ScanWal(swal).frames) {
+      if (f.type == FrameType::kSnapshot) ++n;
+    }
+    return n;
+  };
+  {
+    PivotServer server(opts);
+    Request open = Req(ServerOp::kOpen, "s1");
+    open.source = kFolds;
+    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
+                StatusCode::kOk);
+    }
+    server.Drain();
+  }
+  ASSERT_EQ(snapshot_frames(), 1u);
+
+  // Re-encode the trailing snapshot's body; the frame gets a fresh CRC, so
+  // it still scans.
+  const WalScanResult scan = ScanWal(swal);
+  ASSERT_EQ(scan.frames.back().type, FrameType::kSnapshot);
+  {
+    WalWriter out = WalWriter::Create(swal);
+    for (std::size_t i = 0; i + 1 < scan.frames.size(); ++i) {
+      out.AppendFrame(scan.frames[i].type, scan.frames[i].body,
+                      /*fsync=*/false, "server.swal.txn");
+    }
+    out.AppendFrame(FrameType::kSnapshot,
+                    EncodeSnapshotBody(3, "garbage, not an image"),
+                    /*fsync=*/false, "server.swal.snapshot");
+  }
+
+  PivotServer server(opts);
+  const Response recovered = server.Execute(Req(ServerOp::kRecover, "s1"));
+  ASSERT_EQ(recovered.status, StatusCode::kOk) << recovered.error;
+  EXPECT_NE(recovered.text.find("snapshot frame ignored"), std::string::npos)
+      << recovered.text;
+  ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
+            StatusCode::kOk);
+  server.Drain();
+  EXPECT_EQ(snapshot_frames(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Connections
 // ---------------------------------------------------------------------------
@@ -1057,7 +1122,7 @@ TEST_F(ServerTest, PassivationCompactsTheWalAndRecoveryStillReconciles) {
   const std::string dir = FreshDir("evict_compact");
   Session reference{Parse(kSource)};
   {
-    PivotServer server(EvictOpts(dir, 1));  // compact_on_passivate default
+    PivotServer server(EvictOpts(dir, 1));
 
     Request open = Req(ServerOp::kOpen, "s1");
     open.source = kSource;

@@ -1,8 +1,10 @@
 // The batch undo planner (UndoSet / PlanUndo) and the depth-guard error
-// surface. The planner's contract
-// is observational equivalence with sequential undo: same surviving sets,
-// same final program, every oracle invariant intact — with strictly fewer
-// analysis re-derivations.
+// surface. The planner's contract: on independent targets it matches
+// sequential undo (same surviving set, same final program) with strictly
+// fewer analysis re-derivations, and on any targets its result keeps
+// every oracle invariant intact. It is not sequential undo reordered — its
+// Figure-4 scans run after the whole plan is inverted, so on dependent
+// histories it may cascade differently (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <filesystem>
